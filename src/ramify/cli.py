@@ -358,6 +358,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("--threads must be >= 1")
     if args.subcommand == "check" and (args.n < 2 or args.m < 2):
         parser.error("n and m must both be >= 2")
     if args.subcommand == "scan" and (args.m < 2 or args.x < 2):

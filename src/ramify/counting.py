@@ -4,15 +4,14 @@ the modulus-summed double count, and multi-modulus scans.
 Two independent routes compute the same sets.  The sieve marks, for every
 residue split a1 + a2 = m and inner modulus r, the arithmetic progression
 of solutions of the congruence pair; the fast counters instead classify
-each n by its quotient against m and fall back to a divisor-window test
-only where no closed form exists.  The test suite holds the two routes
-bit-for-bit against each other.
+each n by its quotient against m, with closed forms below 2m and one
+ascending sweep over the moduli for the rest.  The test suite holds the
+two routes bit-for-bit against each other.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .arith import _BIT, DEFAULT_BUDGET_BITS, ResourceBudgetError, crt_solve
@@ -98,17 +97,18 @@ def lower_main_term(m: int, x: int) -> float:
 
 def summarize_sieve(sieve: RamifierSieve) -> CountSummary:
     """Count, circle radius, and main-term evaluations for a built sieve."""
-    ns = sieve.ramifiers()
+    v = int.from_bytes(sieve.bits, "little")
     m, x = sieve.m, sieve.x
-    radius = max(abs(ns[0] - m), abs(ns[-1] - m)) if ns else 0
+    lowest, highest = (v & -v).bit_length() - 1, v.bit_length() - 1
+    radius = max(abs(lowest - m), abs(highest - m)) if v else 0
     return CountSummary(
         m=m,
         x=x,
-        count=len(ns),
+        count=v.bit_count(),
         upper_main=upper_main_term(m, x),
         lower_main=lower_main_term(m, x),
         radius=radius,
-        has_ramifiers=bool(ns),
+        has_ramifiers=bool(v),
     )
 
 
@@ -127,56 +127,47 @@ def count_ramifiers(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -
 #                       (zero difference).
 #   q = 1 (m < n < 2m): ramifier iff a1 > m/3 and a1 != m/2 (witness 2*a1
 #                       while a1 < m/2, a1 itself beyond).
-#   q >= 2 (n >= 2m):   no closed form; divisor-window test on n - a2.
+#   q >= 2 (n >= 2m):   no closed form; one sweep over the moduli answers
+#                       the window test for a whole band at once.
 #
-# The q <= 1 bands make per-modulus counting O(1) outside the q >= 2 loop,
-# which is what keeps the full double sum exact at desk scale.
+# The sweep visits m in ascending order and keeps M[k] = 2*L[k] + k, where
+# L[k] is the largest divisor d of k with 2 <= d < m (0 if none).  With
+# c = (q + 1)*m, the window base is k = n - a2 = 2n - c, and L[k] > a2
+# rearranges to M[k] > c, one comparison against a constant for the whole
+# band q.  Once modulus m is done, its multiples k get L[k] = m, the
+# largest divisor yet: M[m::m] = 3m, 4m, ...  Each band is then one slice
+# of M and one comparison per element, with no per-n divisor search.
 
 
-def _divisor_lists(limit: int) -> list[list[int]]:
-    """divs[k] = ascending divisors d of k with 2 <= d <= limit, for k <= limit."""
-    divs: list[list[int]] = [[] for _ in range(limit + 1)]
-    for d in range(2, limit + 1):
-        for k in range(d, limit + 1, d):
-            divs[k].append(d)
-    return divs
+def _low_bands(m: int, x: int) -> list[range]:
+    """The ramifiers n <= x of modulus m with n < 2m, as ranges of n."""
+    bands = [range(max(2, 2 * m // 3 + 1), min(m, x + 1))]
+    if m % 2 == 0 and 4 <= m <= 2 * x:
+        bands.append(range(m // 2, m // 2 + 1))
+    lo, hi = m + m // 3 + 1, min(2 * m, x + 1)
+    if m % 2:
+        bands.append(range(lo, hi))
+    else:  # n = 3m/2 has a1 = m/2, whose window (m/2, m) holds no divisor of m
+        bands += [range(lo, min(hi, 3 * m // 2)), range(3 * m // 2 + 1, hi)]
+    return bands
 
 
-def _count_below_m(m: int, x: int) -> int:
-    hi = min(m - 1, x)
-    lo = max(2, (2 * m) // 3 + 1)
-    count = max(0, hi - lo + 1)
-    if m % 2 == 0 and m >= 4 and m // 2 <= x:
-        count += 1
-    return count
+def _sweep(x: int, m_lo: int, m_hi: int):
+    """Yield (m, low, windows) for m = m_lo..m_hi in ascending order.
 
-
-def _count_between_m_2m(m: int, x: int) -> int:
-    hi = min(m - 1, x - m)
-    lo = m // 3 + 1
-    count = max(0, hi - lo + 1)
-    if m % 2 == 0 and lo <= m // 2 <= hi:
-        count -= 1
-    return count
-
-
-def _count_from_2m(m: int, x: int, divs: list[list[int]]) -> int:
-    count = 0
-    for a1 in range(2, m):
-        a2 = m - a1
-        k = m + 2 * a1  # n - a2 at n = 2m + a1, stepping by m afterwards
-        k_max = x - a2
-        while k <= k_max:
-            dl = divs[k]
-            i = bisect_right(dl, a2)
-            if i < len(dl) and dl[i] < m:
-                count += 1
-            k += m
-    return count
-
-
-def _fast_count(m: int, x: int, divs: list[list[int]]) -> int:
-    return _count_below_m(m, x) + _count_between_m_2m(m, x) + _count_from_2m(m, x, divs)
+    ``low`` is ``_low_bands(m, x)``.  ``windows`` holds one (ns, c, ks)
+    triple per quotient band q >= 2, with c = (q + 1)*m: ``ns`` is the
+    range of n in the band, and ns[i] ramifies iff ks[i] > c.
+    """
+    M = list(range(x + 1))
+    for m in range(2, m_hi + 1):
+        if m >= m_lo:
+            windows = []
+            for c in range(3 * m, x + m - 1, m):  # each q >= 2 with q*m + 2 <= x
+                ns = range(c - m + 2, min(c, x + 1))
+                windows.append((ns, c, M[2 * ns.start - c : 2 * ns.stop - c : 2]))
+            yield m, _low_bands(m, x), windows
+        M[m::m] = range(3 * m, x + 2 * m + 1, m)
 
 
 def ramifier_counts(
@@ -186,8 +177,10 @@ def ramifier_counts(
     if not 2 <= m_lo <= m_hi <= x:
         raise ValueError("need 2 <= m_lo <= m_hi <= x")
     _check_budget(x, budget_bits)
-    divs = _divisor_lists(x)
-    return [_fast_count(m, x, divs) for m in range(m_lo, m_hi + 1)]
+    return [
+        sum(map(len, low)) + sum(len([k for k in ks if k > c]) for _, c, ks in windows)
+        for _, low, windows in _sweep(x, m_lo, m_hi)
+    ]
 
 
 def double_sum(
@@ -205,28 +198,16 @@ def multi_modulus_ramifiers(
     if x < 2:
         raise ValueError("x must be >= 2")
     _check_budget(x, budget_bits)
-    divs = _divisor_lists(x)
-    out: list[tuple[int, list[int]]] = []
-    for n in range(2, x + 1):
-        ms: list[int] = []
-        for m in range(2, n // 2 + 1):  # q >= 2 band
-            a1 = n % m
-            if a1 < 2:
-                continue
-            dl = divs[n - (m - a1)]
-            i = bisect_right(dl, m - a1)
-            if i < len(dl) and dl[i] < m:
+    moduli: list[list[int]] = [[] for _ in range(x + 1)]
+    for m, low, windows in _sweep(x, 2, x):  # ascending m keeps each list sorted
+        for ns in low:
+            for ms in moduli[ns.start : ns.stop]:
                 ms.append(m)
-        lo = n // 2 + 1  # q = 1 band: n/2 < m < 3n/4, m != 2n/3
-        hi = min((3 * n - 1) // 4, x)
-        ex = (2 * n) // 3 if n % 3 == 0 else 0
-        ms.extend(m for m in range(lo, hi + 1) if m != ex)
-        ms.extend(range(n + 1, min((3 * n - 1) // 2, x) + 1))  # q = 0 band
-        if 2 * n <= x:
-            ms.append(2 * n)
-        if len(ms) >= 2:
-            out.append((n, ms))
-    return out
+        for ns, c, ks in windows:
+            for ms, k in zip(moduli[ns.start : ns.stop], ks):
+                if k > c:
+                    ms.append(m)
+    return [(n, ms) for n, ms in enumerate(moduli) if len(ms) >= 2]
 
 
 def threshold(x: int) -> int:

@@ -133,6 +133,12 @@ class TestClaims:
         pa, pb = json.loads(a.stdout)["payload"], json.loads(b.stdout)["payload"]
         assert pa == pb
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_1_exit_2(self, threads):
+        proc = run_cli("claims", "--ids", "C2", "--threads", threads)
+        assert proc.returncode == 2
+        assert "--threads must be >= 1" in proc.stderr
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "claims.json"
         proc = run_cli(

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,22 @@ def naive_is_ramifier(n, m):
 
 def naive_set(m, x):
     return [n for n in range(2, x + 1) if naive_is_ramifier(n, m)]
+
+
+def naive_multi(x):
+    out = []
+    for n in range(2, x + 1):
+        ms = [m for m in range(2, x + 1) if naive_is_ramifier(n, m)]
+        if len(ms) >= 2:
+            out.append((n, ms))
+    return out
+
+
+@pytest.fixture(scope="session")
+def naive_sets_200():
+    """Naive ramifier lists to x = 200 per modulus; the list for a smaller x
+    is a prefix of these."""
+    return {m: naive_set(m, 200) for m in range(2, 201)}
 
 
 class TestBuildSieve:
@@ -93,11 +111,23 @@ class TestFastCounts:
 
     @given(st.integers(2, 200), st.data())
     @settings(max_examples=80)
-    def test_double_sum_matches_oracle(self, x, data):
+    def test_double_sum_matches_oracle(self, naive_sets_200, x, data):
         m_lo = data.draw(st.integers(2, x))
         m_hi = data.draw(st.integers(m_lo, x))
-        expected = sum(len(naive_set(m, x)) for m in range(m_lo, m_hi + 1))
+        expected = sum(bisect_right(naive_sets_200[m], x) for m in range(m_lo, m_hi + 1))
         assert double_sum(x, m_lo, m_hi) == expected
+
+    @pytest.mark.parametrize("x, m_lo, m_hi", [(97, 3, 97), (160, 13, 40), (160, 50, 50), (151, 75, 151)])
+    def test_counts_from_m_lo_above_2(self, naive_sets_200, x, m_lo, m_hi):
+        counts = ramifier_counts(x, m_lo, m_hi)
+        moduli = range(m_lo, m_hi + 1)
+        assert counts == [build_sieve(m, x).count() for m in moduli]
+        assert counts == [bisect_right(naive_sets_200[m], x) for m in moduli]
+
+    @pytest.mark.parametrize("m", [17, 73, 211, 457, 953])
+    def test_single_cell_matches_sieve_at_1e5(self, m):
+        # one modulus from each band the counting benchmark draws from
+        assert ramifier_counts(10**5, m, m) == [count_ramifiers(m, 10**5).count]
 
     def test_example_sum(self):
         assert double_sum(20, 2, 5) == 16
@@ -131,12 +161,11 @@ class TestMultiModulus:
     @given(st.integers(2, 70))
     @settings(max_examples=40)
     def test_matches_naive(self, x):
-        expected = []
-        for n in range(2, x + 1):
-            ms = [m for m in range(2, x + 1) if naive_is_ramifier(n, m)]
-            if len(ms) >= 2:
-                expected.append((n, ms))
-        assert multi_modulus_ramifiers(x) == expected
+        assert multi_modulus_ramifiers(x) == naive_multi(x)
+
+    def test_matches_naive_x137(self):
+        # beyond the drawn range; the naive oracle alone would cross the deadline
+        assert multi_modulus_ramifiers(137) == naive_multi(137)
 
 
 class TestThreshold:
