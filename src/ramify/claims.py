@@ -729,8 +729,6 @@ CLAIMS: dict[str, ClaimInfo] = {
     )
 }
 
-ALL_CLAIM_IDS: tuple[str, ...] = tuple(CLAIMS)
-
 
 def run_claim(claim_id: str, **params: Any) -> ClaimReport:
     """Run one claim by id with explicit parameters."""

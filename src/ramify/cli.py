@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Any
@@ -26,9 +25,7 @@ from .claims import CLAIMS, ClaimReport, Verdict, run_claim
 from .counting import build_sieve, summarize_sieve
 from .ramification import (
     admits_strong_ramifier,
-    character,
     goldbach_partitions,
-    index_of,
     ramifier_witnesses,
     strong_witnesses,
 )
@@ -93,25 +90,19 @@ def _emit(
 
 def _cmd_check(args: argparse.Namespace, argv: list[str]) -> int:
     n, m = args.n, args.m
-    record = index_of(n, m)
+    witnesses = ramifier_witnesses(n, m)
+    indices = [w.r for w in witnesses]
     if args.strong:
         witnesses = strong_witnesses(n, m, prime_table(m))
-        wdicts = [
-            {"m": w.m, "n": w.n, "p1": w.p1, "r": w.r, "p2": w.p2} for w in witnesses
-        ]
-    else:
-        witnesses = ramifier_witnesses(n, m)
-        wdicts = [
-            {"m": w.m, "n": w.n, "a1": w.a1, "r": w.r, "a2": w.a2} for w in witnesses
-        ]
+    wdicts = [asdict(w) for w in witnesses]  # field order: m, n, a1|p1, r, a2|p2
     payload = {
         "n": n,
         "m": m,
         "strong": args.strong,
-        "character": character(n, m),
+        "character": 1 if indices else 0,
         "is_ramifier": bool(witnesses),
-        "index": record.index if record else None,
-        "all_indices": list(record.all_indices) if record else [],
+        "index": indices[0] if indices else None,
+        "all_indices": indices,
         "witnesses": wdicts,
     }
     kind = "strong ramifier" if args.strong else "ramifier"
@@ -119,8 +110,8 @@ def _cmd_check(args: argparse.Namespace, argv: list[str]) -> int:
         f"n={n} mod m={m}: character {payload['character']}, "
         + (f"{kind}" if witnesses else f"not a {kind}")
     ]
-    if record:
-        lines.append(f"index {record.index}, all indices {list(record.all_indices)}")
+    if indices:
+        lines.append(f"index {indices[0]}, all indices {indices}")
     for w in wdicts:
         lines.append("witness " + " ".join(f"{k}={v}" for k, v in w.items()))
     header = ["m", "n", "p1", "r", "p2"] if args.strong else ["m", "n", "a1", "r", "a2"]
@@ -221,12 +212,7 @@ def _cmd_claims(args: argparse.Namespace, argv: list[str]) -> int:
         ids = [cid for cid in CLAIMS if cid in ids]
     else:
         ids = list(CLAIMS)
-    jobs = [(cid, _claim_params(cid, args.m_max, args.x)) for cid in ids]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(lambda j: run_claim(j[0], **j[1]), jobs))
-    else:
-        reports = [run_claim(cid, **params) for cid, params in jobs]
+    reports = [run_claim(cid, **_claim_params(cid, args.m_max, args.x)) for cid in ids]
     failing = [
         r.claim_id
         for r in reports
@@ -311,14 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
-    common.add_argument(
-        "--budget-bits", type=int, default=DEFAULT_BUDGET_BITS, metavar="N",
-        help="bitmap memory budget in bits",
-    )
-    common.add_argument(
-        "--threads", type=int, default=1, metavar="N",
-        help="worker threads for independent claim jobs",
-    )
 
     parser = argparse.ArgumentParser(
         prog="ramify",
@@ -337,6 +315,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[common], help="sieve all n <= x for one m")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
+    p.add_argument(
+        "--budget-bits", type=int, default=DEFAULT_BUDGET_BITS, metavar="N",
+        help="bitmap memory budget in bits",
+    )
     p.set_defaults(func=_cmd_scan, json=False)
 
     p = sub.add_parser("claims", parents=[common], help="run the claim registry")
@@ -358,8 +340,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     if args.subcommand == "check" and (args.n < 2 or args.m < 2):
         parser.error("n and m must both be >= 2")
     if args.subcommand == "scan" and (args.m < 2 or args.x < 2):

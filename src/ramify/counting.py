@@ -140,10 +140,12 @@ def count_ramifiers(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -
 
 
 def _low_bands(m: int, x: int) -> list[range]:
-    """The ramifiers n <= x of modulus m with n < 2m, as ranges of n."""
-    bands = [range(max(2, 2 * m // 3 + 1), min(m, x + 1))]
+    """The ramifiers n <= x of modulus m with n < 2m, as disjoint ranges of n
+    in ascending order (the n = m/2 band first)."""
+    bands = []
     if m % 2 == 0 and 4 <= m <= 2 * x:
         bands.append(range(m // 2, m // 2 + 1))
+    bands.append(range(max(2, 2 * m // 3 + 1), min(m, x + 1)))
     lo, hi = m + m // 3 + 1, min(2 * m, x + 1)
     if m % 2:
         bands.append(range(lo, hi))

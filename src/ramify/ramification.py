@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .arith import PrimeTable, crt_solve, divisors_in_range
+from .counting import _low_bands
 
 
 @dataclass(frozen=True)
@@ -105,17 +106,7 @@ def character(n: int, m: int) -> int:
     if a1 <= 1:
         return 0
     a2 = m - a1
-    k = abs(n - a2)
-    if k == 0:
-        return 1
-    lo, hi = a2 + 1, m - 1
-    root = math.isqrt(k)
-    if hi - lo <= 2 * root:
-        return 1 if any(k % r == 0 for r in range(lo, hi + 1)) else 0
-    for d in range(1, root + 1):
-        if k % d == 0 and (lo <= d <= hi or lo <= k // d <= hi):
-            return 1
-    return 0
+    return 1 if divisors_in_range(abs(n - a2), a2 + 1, m - 1) else 0
 
 
 def index_of(n: int, m: int) -> IndexRecord | None:
@@ -168,28 +159,11 @@ def admits_ramifier(m: int) -> Witness | None:
 
 
 def _min_strong_n(m: int, primes: PrimeTable) -> int | None:
-    # Ascending-n candidate scan.  For n < m the ramifiers are exactly
-    # n = m/2 (difference n - a2 = 0) and n with 2m/3 < n < m (witness
-    # 2n - m); for m < n < 2m they are n = m + a1 with m/3 < a1 < m and
-    # a1 != m/2 (witness 2*a1, or a1 itself once a1 > m/2).  A prime
-    # residue split exists for some n iff it exists in one of these two
-    # bands, so nothing beyond 2m needs to be examined.
-    if m % 2 == 0:
-        half = m // 2
-        if half >= 2 and primes.is_prime(half):
-            return half
-    plist = primes.primes
-    i = bisect_right(plist, (2 * m) // 3)
-    while i < len(plist) and plist[i] < m:
-        if primes.is_prime(m - plist[i]):
-            return plist[i]
-        i += 1
-    i = bisect_right(plist, m // 3)
-    while i < len(plist) and plist[i] < m:
-        p = plist[i]
-        if 2 * p != m and primes.is_prime(m - p):
-            return m + p
-        i += 1
+    # Every strong split is realised below 2m, so the ascending bands suffice.
+    for band in _low_bands(m, 2 * m - 1):
+        for n in band:
+            if primes.is_prime(n % m) and primes.is_prime(m - n % m):
+                return n
     return None
 
 

@@ -47,6 +47,54 @@ class TestCheck:
         assert payload["index"] == 4
         assert payload["witnesses"] == [{"m": 5, "n": 7, "a1": 2, "r": 4, "a2": 3}]
 
+    @pytest.mark.parametrize(
+        "args, code, payload",
+        [
+            (
+                ("7", "5"),
+                0,
+                {
+                    "n": 7, "m": 5, "strong": False, "character": 1,
+                    "is_ramifier": True, "index": 4, "all_indices": [4],
+                    "witnesses": [{"m": 5, "n": 7, "a1": 2, "r": 4, "a2": 3}],
+                },
+            ),
+            (
+                ("17", "5"),
+                1,
+                {
+                    "n": 17, "m": 5, "strong": False, "character": 0,
+                    "is_ramifier": False, "index": None, "all_indices": [],
+                    "witnesses": [],
+                },
+            ),
+            (
+                ("19", "8", "--strong"),
+                0,
+                {
+                    "n": 19, "m": 8, "strong": True, "character": 1,
+                    "is_ramifier": True, "index": 7, "all_indices": [7],
+                    "witnesses": [{"m": 8, "n": 19, "p1": 3, "r": 7, "p2": 5}],
+                },
+            ),
+            (
+                # a ramifier whose residue split 4 + 1 is not a prime pair
+                ("4", "5", "--strong"),
+                1,
+                {
+                    "n": 4, "m": 5, "strong": True, "character": 1,
+                    "is_ramifier": False, "index": 3, "all_indices": [3],
+                    "witnesses": [],
+                },
+            ),
+        ],
+        ids=["7-5", "17-5", "19-8-strong", "4-5-strong"],
+    )
+    def test_full_payload(self, args, code, payload):
+        proc = run_cli("check", *args, "--format", "json")
+        assert proc.returncode == code
+        assert payload_of(proc) == payload
+
     def test_strong_json(self):
         payload = payload_of(run_cli("check", "19", "8", "--strong", "--json"))
         assert payload["witnesses"] == [{"m": 8, "n": 19, "p1": 3, "r": 7, "p2": 5}]
@@ -124,20 +172,13 @@ class TestClaims:
         assert rows[1][0] == "C4" and rows[1][1] == "5" and rows[1][2] == "20"
         assert rows[1][4] == "6"
 
-    def test_threads_do_not_change_payload(self):
-        a = run_cli("claims", "--ids", "C1,C2,C8", "--m-max", "8", "--x", "40", "--format", "json")
-        b = run_cli(
-            "claims", "--ids", "C1,C2,C8", "--m-max", "8", "--x", "40",
-            "--format", "json", "--threads", "3",
-        )
-        pa, pb = json.loads(a.stdout)["payload"], json.loads(b.stdout)["payload"]
-        assert pa == pb
-
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_1_exit_2(self, threads):
+        # --threads is gone: argparse rejects it whatever its value
         proc = run_cli("claims", "--ids", "C2", "--threads", threads)
         assert proc.returncode == 2
-        assert "--threads must be >= 1" in proc.stderr
+        assert "unrecognized arguments" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "claims.json"
@@ -147,6 +188,23 @@ class TestClaims:
         assert proc.returncode == 0
         env = json.loads(out.read_text())
         assert env["payload"]["reports"][0]["claim_id"] == "C2"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("claims", "--threads", "2"),
+        ("check", "7", "5", "--budget-bits", "64"),
+        ("claims", "--budget-bits", "64"),
+        ("goldbach", "--m-max", "10", "--budget-bits", "64"),
+    ],
+    ids=["claims-threads", "check-budget-bits", "claims-budget-bits", "goldbach-budget-bits"],
+)
+def test_flag_outside_its_subcommand_exit_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestGoldbach:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ramify.arith import ResourceBudgetError
 from ramify.counting import (
+    _low_bands,
     build_sieve,
     count_ramifiers,
     double_sum,
@@ -166,6 +167,19 @@ class TestMultiModulus:
     def test_matches_naive_x137(self):
         # beyond the drawn range; the naive oracle alone would cross the deadline
         assert multi_modulus_ramifiers(137) == naive_multi(137)
+
+
+class TestLowBands:
+    def test_ascending_and_exact(self):
+        # _min_strong_n reads the bands in order for the least strong n
+        for m in range(2, 301):
+            below_2m = naive_set(m, 2 * m - 1)
+            for x in {2, m // 2, m - 1, m + m // 2, 2 * m - 1, 3 * m}:
+                if x < 2:
+                    continue
+                ns = [n for b in _low_bands(m, x) for n in b]
+                assert all(a < b for a, b in zip(ns, ns[1:])), (m, x)
+                assert ns == [n for n in below_2m if n <= x], (m, x)
 
 
 class TestThreshold:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramify.arith import prime_table
@@ -23,6 +23,15 @@ def naive_witness_rs(n, m):
 
 
 _PRIMES_150 = prime_table(150)
+
+
+@st.composite
+def _serving_pairs(draw):
+    """(m, n) over the serving range.  n up to 10^12 walks the window of
+    divisors_in_range; n below m^2/4 can leave a window wider than
+    2*sqrt(n - a2), which takes its divisor-pair branch instead."""
+    m = draw(st.integers(2, 10**4))
+    return m, draw(st.integers(2, 10**12) | st.integers(2, m * m // 4 + 2))
 
 
 def naive_is_prime(v):
@@ -95,10 +104,15 @@ class TestCharacter:
         assert e > 2**64
         assert e % 47 == 1 and character(e, 47) == 0
 
-    @given(st.integers(2, 80), st.integers(2, 5000))
+    @given(_serving_pairs())
+    @example((97, 10**12 + 7))  # window scan
+    @example((10**4, 9_999))  # divisor pairs, ramifier
+    @example((10**4, 13_000))  # divisor pairs, non-ramifier
+    @example((12, 6))  # zero difference
     @settings(max_examples=300)
-    def test_matches_witness_existence(self, m, n):
-        assert character(n, m) == (1 if ramifier_witnesses(n, m) else 0)
+    def test_matches_witness_existence(self, pair):
+        m, n = pair
+        assert character(n, m) == (1 if naive_witness_rs(n, m) else 0)
 
 
 class TestIndex:
