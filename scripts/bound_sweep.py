@@ -18,6 +18,7 @@ from ramify.claims import (
     claim_double_sum,
     claim_lower_bound,
     claim_upper_bound,
+    report_rows,
 )
 
 
@@ -38,12 +39,7 @@ def main() -> int:
         claim_character_bounds(m_values, x_values),
     ]
 
-    rows = [["claim_id", "param_m", "param_x", "claimed", "actual", "discrepancy", "verdict"]]
-    for r in reports:
-        for cell, c, a, d in zip(r.params["cells"], r.claimed, r.actual, r.discrepancy):
-            rows.append(
-                [r.claim_id, cell.get("m", ""), cell.get("x", ""), c, a, d, r.verdict.value]
-            )
+    rows = report_rows(reports)  # the rows of `ramify claims --format csv`
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w")
     csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -6,6 +6,11 @@ consequence of playing the two counting bounds against each other.  Each
 claim runs as an exhaustive finite check or as an exact main-term
 comparison and yields a ClaimReport.
 
+A claim is declared once, by the ``_claim`` decorator on its runner: the
+decorator records id, title, kind and whether the claim is asymptotic;
+the runner's docstring is the statement and its signature names the
+parameters.  Runners are defined in id order, which is registry order.
+
 Verdict policy: a claim with an unwritten O(.) term is never judged
 true or false from finite data; it is INDETERMINATE_ASYMPTOTIC and only
 the signed discrepancy between the exact value and the claimed main
@@ -21,8 +26,9 @@ byte-reproducible.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
@@ -68,16 +74,46 @@ class ClaimReport:
     notes: str = ""
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "claim_id": self.claim_id,
-            "params": self.params,
-            "claimed": self.claimed,
-            "actual": self.actual,
-            "discrepancy": self.discrepancy,
-            "verdict": self.verdict.value,
-            "counterexamples": self.counterexamples,
-            "notes": self.notes,
-        }
+        return {**asdict(self), "verdict": self.verdict.value}
+
+
+@dataclass(frozen=True)
+class ClaimInfo:
+    claim_id: str
+    title: str
+    kind: str  # proposition | theorem | corollary | conjecture | consequence
+    asymptotic: bool
+    statement: str
+    parameters: tuple[str, ...]  # the runner's, taken when it is registered
+    runner: Callable[..., ClaimReport]
+
+    @property
+    def affects_exit(self) -> bool:
+        """Only asserted claims drive the exit code: a failing conjecture
+        or asymptotic claim is reported, never fatal."""
+        return not self.asymptotic and self.kind != "conjecture"
+
+
+CLAIMS: dict[str, ClaimInfo] = {}
+
+
+def _claim(claim_id: str, title: str, kind: str, *, asymptotic: bool = False):
+    """Register the decorated runner as claim ``claim_id``; the first
+    paragraph of its docstring is the statement."""
+
+    def register(runner: Callable[..., ClaimReport]) -> Callable[..., ClaimReport]:
+        CLAIMS[claim_id] = ClaimInfo(
+            claim_id,
+            title,
+            kind,
+            asymptotic,
+            statement=inspect.getdoc(runner).split("\n\n")[0],
+            parameters=tuple(inspect.signature(runner).parameters),
+            runner=runner,
+        )
+        return runner
+
+    return register
 
 
 def _finish(
@@ -85,14 +121,20 @@ def _finish(
     params: dict,
     claimed: Any,
     actual: Any,
-    discrepancy: Any,
-    counterexamples: list[dict],
     notes: list[str],
-    asymptotic: bool,
+    counterexamples: list[dict] | None = None,
 ) -> ClaimReport:
+    """The report, with discrepancy actual - claimed (cellwise for cell
+    lists, None without a claimed value) and the registry's verdict policy."""
+    if claimed is None:
+        discrepancy = None
+    elif isinstance(claimed, list):
+        discrepancy = [a - c for a, c in zip(actual, claimed)]
+    else:
+        discrepancy = actual - claimed
     if counterexamples:
         verdict = Verdict.FAILS_WITH_COUNTEREXAMPLE
-    elif asymptotic:
+    elif CLAIMS[claim_id].asymptotic:
         verdict = Verdict.INDETERMINATE_ASYMPTOTIC
     else:
         verdict = Verdict.HOLDS_AT_SCALE
@@ -103,16 +145,14 @@ def _finish(
         actual=actual,
         discrepancy=discrepancy,
         verdict=verdict,
-        counterexamples=counterexamples,
+        counterexamples=counterexamples or [],
         notes="; ".join([*notes, LOG_NOTE]),
     )
 
 
-# --- exhaustive finite claims ----------------------------------------------
-
-
+@_claim("C1", "existence", "proposition")
 def claim_existence(m_max: int = 10) -> ClaimReport:
-    """C1: every m >= 2 has some modulus t in (1, m] that admits a ramifier."""
+    """Every m >= 2 has some modulus t in (1, m] that admits a ramifier."""
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     counterexamples = []
@@ -127,20 +167,12 @@ def claim_existence(m_max: int = 10) -> ClaimReport:
             "m = 2 admits no ramifier: a residue split 1 + 1 = 2 would need an "
             "inner modulus strictly between 1 and 2"
         )
-    return _finish(
-        "C1",
-        {"m_max": m_max},
-        0,
-        len(counterexamples),
-        len(counterexamples),
-        counterexamples,
-        notes,
-        asymptotic=False,
-    )
+    return _finish("C1", {"m_max": m_max}, 0, len(counterexamples), notes, counterexamples)
 
 
+@_claim("C2", "zero-class", "proposition")
 def claim_zero_class(m_max: int = 50, x: int = 5000) -> ClaimReport:
-    """C2: no multiple of m ramifies in modulus m."""
+    """No multiple of m ramifies in modulus m."""
     counterexamples = []
     checked = 0
     for m in range(2, m_max + 1):
@@ -155,15 +187,14 @@ def claim_zero_class(m_max: int = 50, x: int = 5000) -> ClaimReport:
         {"m_max": m_max, "x": x, "checked": checked},
         0,
         len(counterexamples),
-        len(counterexamples),
-        counterexamples,
         [f"{checked} multiples checked exhaustively"],
-        asymptotic=False,
+        counterexamples,
     )
 
 
+@_claim("C3", "quadratic-residues", "theorem")
 def claim_quadratic_residues(p_max: int = 50) -> ClaimReport:
-    """C3: for an odd prime p and a quadratic residue a coprime to p, the
+    """For an odd prime p and a quadratic residue a coprime to p, the
     power sequence a, a^2, ..., a^(p-1) holds at least two non-ramifiers
     modulo p, sitting at exponents (p-1)/2 and p-1."""
     primes = prime_table(max(p_max, 3))
@@ -194,17 +225,46 @@ def claim_quadratic_residues(p_max: int = 50) -> ClaimReport:
         {"p_max": p_max, "pairs_checked": pairs_checked},
         0,
         len(counterexamples),
-        len(counterexamples),
-        counterexamples,
         notes,
-        asymptotic=False,
+        counterexamples,
     )
 
 
+@_claim("C4", "upper-bound", "theorem", asymptotic=True)
+def claim_upper_bound(
+    m_values: tuple[int, ...] = (3, 5, 10, 50),
+    x_values: tuple[int, ...] = (100, 1000, 10000),
+) -> ClaimReport:
+    """The count of ramifiers n <= x in modulus m is at most
+    (1 - 1/m) x - log x / log m + O(1)."""
+    cells, claimed, actual, notes = [], [], [], []
+    for m in m_values:
+        for x in x_values:
+            s = count_ramifiers(m, x)
+            bound = upper_main_term(m, x)
+            cells.append({"m": m, "x": x})
+            claimed.append(bound)
+            actual.append(s.count)
+            if s.count > bound:
+                notes.append(
+                    f"count exceeds the main term at (m={m}, x={x}): "
+                    f"{s.count} > {bound:.2f}"
+                )
+    return _finish(
+        "C4",
+        {"m_values": list(m_values), "x_values": list(x_values), "cells": cells},
+        claimed,
+        actual,
+        notes,
+    )
+
+
+@_claim("C5", "goldbach-equivalence", "conjecture")
 def claim_goldbach_equivalence(m_max: int = 1000) -> ClaimReport:
-    """C5: an even m >= 4 admits a strong ramifier iff m splits into a
-    prime pair.  Forward is definitional; backward is checked by running
-    the actual search."""
+    """An even m >= 4 admits a strong ramifier iff m is a sum of two primes.
+
+    Forward is definitional; backward is checked by running the actual
+    search."""
     if m_max < 4:
         raise ValueError("m_max must be >= 4")
     primes = prime_table(m_max)
@@ -236,15 +296,68 @@ def claim_goldbach_equivalence(m_max: int = 1000) -> ClaimReport:
         {"m_max": m_max, "checked": checked},
         0,
         len(counterexamples),
-        len(counterexamples),
-        counterexamples,
         notes,
-        asymptotic=False,
+        counterexamples,
     )
 
 
+@_claim("C6", "lower-bound", "theorem", asymptotic=True)
+def claim_lower_bound(
+    m_values: tuple[int, ...] = (3, 5, 10, 50),
+    x_values: tuple[int, ...] = (100, 1000, 10000),
+) -> ClaimReport:
+    """The count of ramifiers n <= x in modulus m is at least
+    (x^2 - x m) / m^2 + O_m(1)."""
+    cells, claimed, actual, notes = [], [], [], []
+    for m in m_values:
+        for x in x_values:
+            s = count_ramifiers(m, x)
+            bound = lower_main_term(m, x)
+            cells.append({"m": m, "x": x})
+            claimed.append(bound)
+            actual.append(s.count)
+            if bound > s.count:
+                notes.append(
+                    f"main-term conflict at (m={m}, x={x}): claimed lower bound "
+                    f"{bound:g} exceeds the exact count {s.count}"
+                )
+            if bound > x - 1:
+                notes.append(
+                    f"claimed lower bound {bound:g} exceeds the trivial ceiling "
+                    f"{x - 1} at (m={m}, x={x})"
+                )
+    return _finish(
+        "C6",
+        {"m_values": list(m_values), "x_values": list(x_values), "cells": cells},
+        claimed,
+        actual,
+        notes,
+    )
+
+
+@_claim("C7", "double-sum", "theorem", asymptotic=True)
+def claim_double_sum(x_values: tuple[int, ...] = (100, 1000)) -> ClaimReport:
+    """The double count of ramification pairs (n, m) with n, m <= x is at
+    least x log x / 2 + O(x)."""
+    cells, claimed, actual, notes = [], [], [], []
+    for x in x_values:
+        counts = ramifier_counts(x, 2, x)
+        full = sum(counts)
+        t = threshold(x)
+        restricted = sum(counts[t - 2 :])
+        cells.append({"x": x})
+        claimed.append(x * math.log(x) / 2)
+        actual.append(full)
+        notes.append(
+            f"x={x}: moduli in [{t}, {x}] (the range the derivation actually "
+            f"bounds) contribute {restricted} of {full}"
+        )
+    return _finish("C7", {"x_values": list(x_values), "cells": cells}, claimed, actual, notes)
+
+
+@_claim("C8", "pigeonhole", "corollary")
 def claim_pigeonhole(x: int = 100) -> ClaimReport:
-    """C8: some n <= x ramifies in at least two moduli m <= x."""
+    """Some n <= x ramifies in at least two moduli m <= x."""
     found = multi_modulus_ramifiers(x)
     counterexamples = []
     notes = []
@@ -255,20 +368,12 @@ def claim_pigeonhole(x: int = 100) -> ClaimReport:
         counterexamples.append({"x": x})
     else:
         notes.append(f"x = {x} is below the scale where an instance is asserted")
-    return _finish(
-        "C8",
-        {"x": x},
-        None,
-        len(found),
-        None,
-        counterexamples,
-        notes,
-        asymptotic=False,
-    )
+    return _finish("C8", {"x": x}, None, len(found), notes, counterexamples)
 
 
+@_claim("C9", "magnification", "theorem")
 def claim_magnification(m_max: int = 30, x: int = 2000) -> ClaimReport:
-    """C9: for a ramifier n in modulus m with gcd(|n - m|, a1) = 1, every
+    """For a ramifier n in modulus m with gcd(|n - m|, a1) = 1, every
     witnessing inner modulus r satisfies a1 | r or gcd(r, a1) = 1."""
     counterexamples = []
     instances = 0
@@ -291,20 +396,53 @@ def claim_magnification(m_max: int = 30, x: int = 2000) -> ClaimReport:
         {"m_max": m_max, "x": x, "instances": instances},
         0,
         len(counterexamples),
-        len(counterexamples),
-        counterexamples,
         notes,
-        asymptotic=False,
+        counterexamples,
+    )
+
+
+@_claim("C10", "circle-radius", "proposition", asymptotic=True)
+def claim_circle(
+    m_max: int = 30, x_values: tuple[int, ...] = (100, 1000)
+) -> ClaimReport:
+    """The circle radius max |n - m| over ramifiers n <= x is at most
+    x (sqrt(x - log x) - 1) / sqrt(x - log x)."""
+    cells, claimed, actual, notes = [], [], [], []
+    empty = 0
+    for m in range(2, m_max + 1):
+        for x in x_values:
+            s = count_ramifiers(m, x)
+            root = math.sqrt(x - math.log(x))
+            bound = x * (root - 1) / root
+            cells.append({"m": m, "x": x})
+            claimed.append(bound)
+            actual.append(s.radius)
+            if not s.has_ramifiers:
+                empty += 1
+            elif s.radius > bound:
+                notes.append(
+                    f"radius exceeds the bound at (m={m}, x={x}): "
+                    f"{s.radius} > {bound:.2f}"
+                )
+    if empty:
+        notes.append(f"{empty} cells have no ramifiers; radius reported as 0")
+    return _finish(
+        "C10",
+        {"m_max": m_max, "x_values": list(x_values), "cells": cells},
+        claimed,
+        actual,
+        notes,
     )
 
 
 _SHIFT_CAP = 8  # factorial shifts grow too fast beyond 8!
 
 
+@_claim("C11", "character-properties", "proposition")
 def claim_character_properties(
     m_max: int = 10, n_max: int = 200, max_counterexamples: int = 25
 ) -> ClaimReport:
-    """C11: the five stated character identities.
+    """The five stated character identities.
     (i) invariance under n -> n + 2m, (ii) invariance under n -> n + m!,
     (iii) vanishing at 1, (iv) vanishing on the residue classes 0 and 1,
     (v) multiplicativity against m!.
@@ -361,191 +499,19 @@ def claim_character_properties(
         {"m_max": m_max, "n_max": n_max, "max_counterexamples": max_counterexamples},
         0,
         total_i + fails_ii + fails_iv + fails_v,
-        total_i + fails_ii + fails_iv + fails_v,
+        notes,
         counterexamples,
-        notes,
-        asymptotic=False,
     )
 
 
-def claim_threshold_scale(x_values: tuple[int, ...] = (20,)) -> ClaimReport:
-    """C13: no modulus below floor(x / sqrt(x - ln x)) + 1 admits a
-    ramifier n <= x."""
-    cells = []
-    claimed = []
-    actual = []
-    discrepancy = []
-    counterexamples = []
-    for x in x_values:
-        t = threshold(x)
-        violations = 0
-        for m in range(2, t):
-            ns = build_sieve(m, x).ramifiers()
-            if ns:
-                violations += 1
-                counterexamples.append({"x": x, "m": m, "n": ns[0]})
-        cells.append({"x": x, "threshold": t})
-        claimed.append(0)
-        actual.append(violations)
-        discrepancy.append(violations)
-    return _finish(
-        "C13",
-        {"x_values": list(x_values), "cells": cells},
-        claimed,
-        actual,
-        discrepancy,
-        counterexamples,
-        [],
-        asymptotic=False,
-    )
-
-
-# --- main-term comparisons (claims carrying an O(.) term) -------------------
-
-
-def claim_upper_bound(
-    m_values: tuple[int, ...] = (3, 5, 10, 50),
-    x_values: tuple[int, ...] = (100, 1000, 10000),
-) -> ClaimReport:
-    """C4: the count of ramifiers n <= x in modulus m stays below
-    (1 - 1/m) x - log x / log m up to O(1)."""
-    cells, claimed, actual, discrepancy, notes = [], [], [], [], []
-    for m in m_values:
-        for x in x_values:
-            s = count_ramifiers(m, x)
-            bound = upper_main_term(m, x)
-            cells.append({"m": m, "x": x})
-            claimed.append(bound)
-            actual.append(s.count)
-            discrepancy.append(s.count - bound)
-            if s.count > bound:
-                notes.append(
-                    f"count exceeds the main term at (m={m}, x={x}): "
-                    f"{s.count} > {bound:.2f}"
-                )
-    return _finish(
-        "C4",
-        {"m_values": list(m_values), "x_values": list(x_values), "cells": cells},
-        claimed,
-        actual,
-        discrepancy,
-        [],
-        notes,
-        asymptotic=True,
-    )
-
-
-def claim_lower_bound(
-    m_values: tuple[int, ...] = (3, 5, 10, 50),
-    x_values: tuple[int, ...] = (100, 1000, 10000),
-) -> ClaimReport:
-    """C6: the count of ramifiers n <= x in modulus m stays above
-    (x^2 - x m) / m^2 up to O_m(1)."""
-    cells, claimed, actual, discrepancy, notes = [], [], [], [], []
-    for m in m_values:
-        for x in x_values:
-            s = count_ramifiers(m, x)
-            bound = lower_main_term(m, x)
-            cells.append({"m": m, "x": x})
-            claimed.append(bound)
-            actual.append(s.count)
-            discrepancy.append(s.count - bound)
-            if bound > s.count:
-                notes.append(
-                    f"main-term conflict at (m={m}, x={x}): claimed lower bound "
-                    f"{bound:g} exceeds the exact count {s.count}"
-                )
-            if bound > x - 1:
-                notes.append(
-                    f"claimed lower bound {bound:g} exceeds the trivial ceiling "
-                    f"{x - 1} at (m={m}, x={x})"
-                )
-    return _finish(
-        "C6",
-        {"m_values": list(m_values), "x_values": list(x_values), "cells": cells},
-        claimed,
-        actual,
-        discrepancy,
-        [],
-        notes,
-        asymptotic=True,
-    )
-
-
-def claim_double_sum(x_values: tuple[int, ...] = (100, 1000)) -> ClaimReport:
-    """C7: the double count of (n, m) ramification pairs with n, m <= x is
-    at least x log x / 2 up to O(x)."""
-    cells, claimed, actual, discrepancy, notes = [], [], [], [], []
-    for x in x_values:
-        counts = ramifier_counts(x, 2, x)
-        full = sum(counts)
-        t = threshold(x)
-        restricted = sum(counts[t - 2 :])
-        main = x * math.log(x) / 2
-        cells.append({"x": x})
-        claimed.append(main)
-        actual.append(full)
-        discrepancy.append(full - main)
-        notes.append(
-            f"x={x}: moduli in [{t}, {x}] (the range the derivation actually "
-            f"bounds) contribute {restricted} of {full}"
-        )
-    return _finish(
-        "C7",
-        {"x_values": list(x_values), "cells": cells},
-        claimed,
-        actual,
-        discrepancy,
-        [],
-        notes,
-        asymptotic=True,
-    )
-
-
-def claim_circle(
-    m_max: int = 30, x_values: tuple[int, ...] = (100, 1000)
-) -> ClaimReport:
-    """C10: the circle radius max |n - m| over ramifiers n <= x stays below
-    x (sqrt(x - log x) - 1) / sqrt(x - log x)."""
-    cells, claimed, actual, discrepancy, notes = [], [], [], [], []
-    empty = 0
-    for m in range(2, m_max + 1):
-        for x in x_values:
-            s = count_ramifiers(m, x)
-            root = math.sqrt(x - math.log(x))
-            bound = x * (root - 1) / root
-            cells.append({"m": m, "x": x})
-            claimed.append(bound)
-            actual.append(s.radius)
-            discrepancy.append(s.radius - bound)
-            if not s.has_ramifiers:
-                empty += 1
-            elif s.radius > bound:
-                notes.append(
-                    f"radius exceeds the bound at (m={m}, x={x}): "
-                    f"{s.radius} > {bound:.2f}"
-                )
-    if empty:
-        notes.append(f"{empty} cells have no ramifiers; radius reported as 0")
-    return _finish(
-        "C10",
-        {"m_max": m_max, "x_values": list(x_values), "cells": cells},
-        claimed,
-        actual,
-        discrepancy,
-        [],
-        notes,
-        asymptotic=True,
-    )
-
-
+@_claim("C12", "character-partial-sums", "theorem", asymptotic=True)
 def claim_character_bounds(
     m_values: tuple[int, ...] = (3, 5, 10, 50),
     x_values: tuple[int, ...] = (100, 1000, 10000),
 ) -> ClaimReport:
-    """C12: for m at or above the threshold scale, the character partial sum
-    over n <= x sits between the two main terms."""
-    cells, claimed, actual, discrepancy, notes = [], [], [], [], []
+    """For m at or above the threshold scale, the character partial sum
+    over n <= x lies between the two counting main terms."""
+    cells, claimed, actual, notes = [], [], [], []
     for m in m_values:
         for x in x_values:
             s = count_ramifiers(m, x)
@@ -559,7 +525,6 @@ def claim_character_bounds(
                 )
                 claimed.append(bound)
                 actual.append(s.count)
-                discrepancy.append(s.count - bound)
             if not applicable:
                 notes.append(
                     f"(m={m}, x={x}): below the stated modulus scale {t}; "
@@ -575,159 +540,34 @@ def claim_character_bounds(
         {"m_values": list(m_values), "x_values": list(x_values), "cells": cells},
         claimed,
         actual,
-        discrepancy,
-        [],
         notes,
-        asymptotic=True,
     )
 
 
-# --- registry ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClaimInfo:
-    claim_id: str
-    title: str
-    kind: str  # proposition | theorem | corollary | conjecture | consequence
-    asymptotic: bool
-    affects_exit: bool
-    statement: str
-    runner: Callable[..., ClaimReport]
-
-
-CLAIMS: dict[str, ClaimInfo] = {
-    c.claim_id: c
-    for c in (
-        ClaimInfo(
-            "C1",
-            "existence",
-            "proposition",
-            False,
-            True,
-            "Every m >= 2 has some modulus t in (1, m] admitting a ramifier.",
-            claim_existence,
-        ),
-        ClaimInfo(
-            "C2",
-            "zero-class",
-            "proposition",
-            False,
-            True,
-            "No multiple of m ramifies in modulus m.",
-            claim_zero_class,
-        ),
-        ClaimInfo(
-            "C3",
-            "quadratic-residues",
-            "theorem",
-            False,
-            True,
-            "Powers of a quadratic residue mod an odd prime p contain at least "
-            "two non-ramifiers, at exponents (p-1)/2 and p-1.",
-            claim_quadratic_residues,
-        ),
-        ClaimInfo(
-            "C4",
-            "upper-bound",
-            "theorem",
-            True,
-            False,
-            "Count of ramifiers n <= x in modulus m is at most "
-            "(1 - 1/m) x - log x / log m + O(1).",
-            claim_upper_bound,
-        ),
-        ClaimInfo(
-            "C5",
-            "goldbach-equivalence",
-            "conjecture",
-            False,
-            False,
-            "An even m >= 4 admits a strong ramifier iff m is a sum of two primes.",
-            claim_goldbach_equivalence,
-        ),
-        ClaimInfo(
-            "C6",
-            "lower-bound",
-            "theorem",
-            True,
-            False,
-            "Count of ramifiers n <= x in modulus m is at least "
-            "(x^2 - x m) / m^2 + O_m(1).",
-            claim_lower_bound,
-        ),
-        ClaimInfo(
-            "C7",
-            "double-sum",
-            "theorem",
-            True,
-            False,
-            "The double count of ramification pairs (n, m) with n, m <= x is "
-            "at least x log x / 2 + O(x).",
-            claim_double_sum,
-        ),
-        ClaimInfo(
-            "C8",
-            "pigeonhole",
-            "corollary",
-            False,
-            True,
-            "Some n <= x ramifies in at least two moduli m <= x.",
-            claim_pigeonhole,
-        ),
-        ClaimInfo(
-            "C9",
-            "magnification",
-            "theorem",
-            False,
-            True,
-            "For a ramifier n mod m with gcd(|n - m|, a1) = 1, every witnessing "
-            "inner modulus is a multiple of a1 or coprime to a1.",
-            claim_magnification,
-        ),
-        ClaimInfo(
-            "C10",
-            "circle-radius",
-            "proposition",
-            True,
-            False,
-            "The circle radius max |n - m| over ramifiers n <= x is at most "
-            "x (sqrt(x - log x) - 1) / sqrt(x - log x).",
-            claim_circle,
-        ),
-        ClaimInfo(
-            "C11",
-            "character-properties",
-            "proposition",
-            False,
-            True,
-            "The character is invariant under shifts by 2m and by m!, vanishes "
-            "at 1 and on residue classes 0 and 1, and is multiplicative "
-            "against m!.",
-            claim_character_properties,
-        ),
-        ClaimInfo(
-            "C12",
-            "character-partial-sums",
-            "theorem",
-            True,
-            False,
-            "For m at or above the threshold scale, the character partial sum "
-            "lies between the two counting main terms.",
-            claim_character_bounds,
-        ),
-        ClaimInfo(
-            "C13",
-            "threshold-scale",
-            "consequence",
-            False,
-            True,
-            "No modulus below floor(x / sqrt(x - log x)) + 1 admits a "
-            "ramifier n <= x.",
-            claim_threshold_scale,
-        ),
+@_claim("C13", "threshold-scale", "consequence")
+def claim_threshold_scale(x_values: tuple[int, ...] = (20,)) -> ClaimReport:
+    """No modulus below floor(x / sqrt(x - ln x)) + 1 admits a ramifier
+    n <= x."""
+    cells, claimed, actual, counterexamples = [], [], [], []
+    for x in x_values:
+        t = threshold(x)
+        violations = 0
+        for m in range(2, t):
+            ns = build_sieve(m, x).ramifiers()
+            if ns:
+                violations += 1
+                counterexamples.append({"x": x, "m": m, "n": ns[0]})
+        cells.append({"x": x, "threshold": t})
+        claimed.append(0)
+        actual.append(violations)
+    return _finish(
+        "C13",
+        {"x_values": list(x_values), "cells": cells},
+        claimed,
+        actual,
+        [],
+        counterexamples,
     )
-}
 
 
 def run_claim(claim_id: str, **params: Any) -> ClaimReport:
@@ -735,6 +575,34 @@ def run_claim(claim_id: str, **params: Any) -> ClaimReport:
     if claim_id not in CLAIMS:
         raise KeyError(f"unknown claim id {claim_id!r}")
     return CLAIMS[claim_id].runner(**params)
+
+
+def report_rows(reports: list[ClaimReport]) -> list[list]:
+    """CSV rows: the header, then one row per cell of a report with cells
+    and one row per other report, its scalar parameters as m and x."""
+    rows: list[list] = [
+        ["claim_id", "param_m", "param_x", "claimed", "actual", "discrepancy", "verdict"]
+    ]
+    for r in reports:
+        p = r.params
+        if p.get("cells"):
+            cells = zip(p["cells"], r.claimed, r.actual, r.discrepancy)
+        else:
+            m, x = p.get("m_max", p.get("p_max", "")), p.get("x", p.get("n_max", ""))
+            cells = [({"m": m, "x": x}, r.claimed, r.actual, r.discrepancy)]
+        for cell, c, a, d in cells:
+            rows.append(
+                [
+                    r.claim_id,
+                    cell.get("m", ""),
+                    cell.get("x", ""),
+                    "" if c is None else c,
+                    a,
+                    "" if d is None else d,
+                    r.verdict.value,
+                ]
+            )
+    return rows
 
 
 def replay_counterexample(claim_id: str, cx: dict) -> bool:

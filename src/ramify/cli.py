@@ -21,7 +21,7 @@ from typing import Any
 
 from . import __version__
 from .arith import DEFAULT_BUDGET_BITS, ResourceBudgetError, prime_table
-from .claims import CLAIMS, ClaimReport, Verdict, run_claim
+from .claims import CLAIMS, ClaimInfo, Verdict, report_rows, run_claim
 from .counting import build_sieve, summarize_sieve
 from .ramification import (
     admits_strong_ramifier,
@@ -143,76 +143,24 @@ def _cmd_scan(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def _claim_params(claim_id: str, m_max: int, x: int) -> dict[str, Any]:
-    if claim_id == "C1":
-        return {"m_max": m_max}
-    if claim_id == "C2":
-        return {"m_max": m_max, "x": x}
-    if claim_id == "C3":
-        return {"p_max": m_max}
-    if claim_id in ("C4", "C6", "C12"):
-        return {"m_values": (m_max,), "x_values": (x,)}
-    if claim_id == "C5":
-        return {"m_max": max(m_max, 4)}
-    if claim_id == "C7":
-        return {"x_values": (x,)}
-    if claim_id == "C8":
-        return {"x": x}
-    if claim_id == "C9":
-        return {"m_max": m_max, "x": x}
-    if claim_id == "C10":
-        return {"m_max": m_max, "x_values": (x,)}
-    if claim_id == "C11":
-        return {"m_max": m_max, "n_max": x}
-    return {"x_values": (x,)}  # C13
-
-
-def _claims_csv(reports: list[ClaimReport]) -> list[list]:
-    rows: list[list] = [
-        ["claim_id", "param_m", "param_x", "claimed", "actual", "discrepancy", "verdict"]
-    ]
-    for r in reports:
-        cells = r.params.get("cells")
-        if cells:
-            for cell, c, a, d in zip(cells, r.claimed, r.actual, r.discrepancy):
-                rows.append(
-                    [
-                        r.claim_id,
-                        cell.get("m", ""),
-                        cell.get("x", ""),
-                        "" if c is None else c,
-                        a,
-                        "" if d is None else d,
-                        r.verdict.value,
-                    ]
-                )
-        else:
-            p = r.params
-            rows.append(
-                [
-                    r.claim_id,
-                    p.get("m_max", p.get("p_max", p.get("m", ""))),
-                    p.get("x", p.get("n_max", "")),
-                    "" if r.claimed is None else r.claimed,
-                    r.actual,
-                    "" if r.discrepancy is None else r.discrepancy,
-                    r.verdict.value,
-                ]
-            )
-    return rows
+def _claim_params(info: ClaimInfo, m_max: int, x: int) -> dict[str, Any]:
+    """The runner's keyword arguments, set from --m-max and --x by name."""
+    m = max(m_max, 4) if info.claim_id == "C5" else m_max  # C5 sweeps even m >= 4
+    from_flags = {
+        "m_max": m, "p_max": m, "m_values": (m,), "x": x, "n_max": x, "x_values": (x,)
+    }
+    return {name: from_flags[name] for name in info.parameters if name in from_flags}
 
 
 def _cmd_claims(args: argparse.Namespace, argv: list[str]) -> int:
-    if args.ids:
-        ids = [s.strip() for s in args.ids.split(",") if s.strip()]
-        unknown = [cid for cid in ids if cid not in CLAIMS]
+    ids = list(CLAIMS)
+    if args.ids is not None:
+        unknown = [cid for cid in args.ids if cid not in CLAIMS]
         if unknown:
             print(f"unknown claim id(s): {', '.join(unknown)}", file=sys.stderr)
             return 2
-        ids = [cid for cid in CLAIMS if cid in ids]
-    else:
-        ids = list(CLAIMS)
-    reports = [run_claim(cid, **_claim_params(cid, args.m_max, args.x)) for cid in ids]
+        ids = [cid for cid in ids if cid in args.ids]
+    reports = [run_claim(cid, **_claim_params(CLAIMS[cid], args.m_max, args.x)) for cid in ids]
     failing = [
         r.claim_id
         for r in reports
@@ -232,7 +180,7 @@ def _cmd_claims(args: argparse.Namespace, argv: list[str]) -> int:
         )
     if failing:
         lines.append(f"asserted claims failing: {', '.join(failing)}")
-    _emit(args, argv, payload, lines, _claims_csv(reports))
+    _emit(args, argv, payload, lines, report_rows(reports))
     return 1 if failing else 0
 
 
@@ -322,7 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan, json=False)
 
     p = sub.add_parser("claims", parents=[common], help="run the claim registry")
-    p.add_argument("--ids", metavar="C1,C2,...", help="claims to run (default: all)")
+    p.add_argument(
+        "--ids", type=lambda s: [c.strip() for c in s.split(",") if c.strip()],
+        metavar="C1,C2,...", help="claims to run (default: all)",
+    )
     p.add_argument("--m-max", type=int, default=20, metavar="N")
     p.add_argument("--x", type=int, default=500, metavar="N")
     p.set_defaults(func=_cmd_claims, json=False)
@@ -344,6 +295,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("n and m must both be >= 2")
     if args.subcommand == "scan" and (args.m < 2 or args.x < 2):
         parser.error("--m and --x must both be >= 2")
+    if args.subcommand == "claims" and (args.m_max < 2 or args.x < 2):
+        parser.error("--m-max and --x must both be >= 2")
+    if args.subcommand == "claims" and args.ids == []:
+        parser.error("--ids names no claim")
     try:
         return args.func(args, argv)
     except ResourceBudgetError as exc:

@@ -112,9 +112,9 @@ def summarize_sieve(sieve: RamifierSieve) -> CountSummary:
     )
 
 
-def count_ramifiers(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> CountSummary:
+def count_ramifiers(m: int, x: int) -> CountSummary:
     """Exact ramifier count for modulus m over [2, x], via the sieve."""
-    return summarize_sieve(build_sieve(m, x, budget_bits=budget_bits))
+    return summarize_sieve(build_sieve(m, x))
 
 
 # --- closed-form counting -------------------------------------------------
@@ -172,34 +172,28 @@ def _sweep(x: int, m_lo: int, m_hi: int):
         M[m::m] = range(3 * m, x + 2 * m + 1, m)
 
 
-def ramifier_counts(
-    x: int, m_lo: int, m_hi: int, *, budget_bits: int = DEFAULT_BUDGET_BITS
-) -> list[int]:
+def ramifier_counts(x: int, m_lo: int, m_hi: int) -> list[int]:
     """Exact per-modulus ramifier counts over [2, x] for m in [m_lo, m_hi]."""
     if not 2 <= m_lo <= m_hi <= x:
         raise ValueError("need 2 <= m_lo <= m_hi <= x")
-    _check_budget(x, budget_bits)
+    _check_budget(x, DEFAULT_BUDGET_BITS)
     return [
         sum(map(len, low)) + sum(len([k for k in ks if k > c]) for _, c, ks in windows)
         for _, low, windows in _sweep(x, m_lo, m_hi)
     ]
 
 
-def double_sum(
-    x: int, m_lo: int, m_hi: int, *, budget_bits: int = DEFAULT_BUDGET_BITS
-) -> int:
+def double_sum(x: int, m_lo: int, m_hi: int) -> int:
     """Sum of the per-modulus ramifier counts over m in [m_lo, m_hi], exact."""
-    return sum(ramifier_counts(x, m_lo, m_hi, budget_bits=budget_bits))
+    return sum(ramifier_counts(x, m_lo, m_hi))
 
 
-def multi_modulus_ramifiers(
-    x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS
-) -> list[tuple[int, list[int]]]:
+def multi_modulus_ramifiers(x: int) -> list[tuple[int, list[int]]]:
     """Every n <= x ramifying in at least two moduli m <= x, ascending in n,
     each paired with its full ascending modulus list."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    _check_budget(x, budget_bits)
+    _check_budget(x, DEFAULT_BUDGET_BITS)
     moduli: list[list[int]] = [[] for _ in range(x + 1)]
     for m, low, windows in _sweep(x, 2, x):  # ascending m keeps each list sorted
         for ns in low:

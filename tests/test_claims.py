@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -53,6 +54,21 @@ class TestRegistry:
                 assert not info.affects_exit
             else:
                 assert info.affects_exit
+        asserted = {cid for cid, info in CLAIMS.items() if info.affects_exit}
+        asymptotic = {cid for cid, info in CLAIMS.items() if info.asymptotic}
+        conjecture = {cid for cid, info in CLAIMS.items() if info.kind == "conjecture"}
+        assert asserted == {"C1", "C2", "C3", "C8", "C9", "C11", "C13"}
+        assert asymptotic == {"C4", "C6", "C7", "C10", "C12"}
+        assert conjecture == {"C5"}
+
+    def test_declared_on_the_runner(self):
+        # the statement is the runner's docstring and the parameters its
+        # signature, both taken when the claim is registered
+        for info in CLAIMS.values():
+            assert inspect.getdoc(info.runner).startswith(info.statement)
+            assert info.parameters == tuple(inspect.signature(info.runner).parameters)
+        assert CLAIMS["C11"].parameters == ("m_max", "n_max", "max_counterexamples")
+        assert "max_counterexamples" not in CLAIMS["C11"].statement
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):

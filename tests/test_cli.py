@@ -1,10 +1,19 @@
 import csv
+import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from ramify import cli
+from ramify.claims import CLAIMS
+
+GOLDEN = Path(__file__).parent / "golden"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
 def run_cli(*args):
@@ -14,6 +23,10 @@ def run_cli(*args):
         text=True,
     )
     return proc
+
+
+def without_timestamp(text):
+    return re.sub(r'  "generated_at": "[^"]*",\n', "", text)
 
 
 def payload_of(proc):
@@ -179,6 +192,80 @@ class TestClaims:
         assert proc.returncode == 2
         assert "unrecognized arguments" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, golden",
+        [
+            (("--m-max", "12", "--x", "200", "--format", "json"), "claims_m12_x200.json"),
+            (("--m-max", "12", "--x", "200", "--format", "csv"), "claims_m12_x200.csv"),
+            (("--m-max", "12", "--x", "200"), "claims_m12_x200.txt"),
+            # --m-max 3 runs C5 at its floor m_max = 4
+            (("--m-max", "3", "--x", "40", "--format", "json"), "claims_m3_x40.json"),
+        ],
+        ids=["m12-x200-json", "m12-x200-csv", "m12-x200-text", "m3-x40-json"],
+    )
+    def test_golden_payload(self, args, golden):
+        proc = run_cli("claims", *args)
+        assert proc.returncode == 1
+        assert without_timestamp(proc.stdout) == (GOLDEN / golden).read_text()
+
+    def test_runs_each_claim_through_its_registry_entry(self, capsys):
+        # perfbench/tracer.py swaps every runner for a (*args, **kwargs)
+        # wrapper; the CLI must still pass each claim its own parameters
+        calls = {cid: 0 for cid in CLAIMS}
+
+        def wrap(cid, runner):
+            def wrapper(*args, **kwargs):
+                calls[cid] += 1
+                return runner(*args, **kwargs)
+
+            return wrapper
+
+        saved = dict(CLAIMS)
+        try:
+            for cid, info in saved.items():
+                CLAIMS[cid] = dataclasses.replace(info, runner=wrap(cid, info.runner))
+            code = cli.main(["claims", "--m-max", "12", "--x", "200", "--format", "json"])
+        finally:
+            CLAIMS.update(saved)
+        assert code == 1
+        assert calls == {cid: 1 for cid in CLAIMS}
+        golden = (GOLDEN / "claims_m12_x200.json").read_text()
+        assert without_timestamp(capsys.readouterr().out) == golden
+        assert all(CLAIMS[cid] is info for cid, info in saved.items())
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--ids", ","), "--ids names no claim"),
+            (("--ids", ""), "--ids names no claim"),
+            (("--ids", "C2", "--m-max", "1"), "--m-max and --x must both be >= 2"),
+            (("--ids", "C8", "--x", "1"), "--m-max and --x must both be >= 2"),
+            (("--m-max", "0"), "--m-max and --x must both be >= 2"),
+        ],
+        ids=["ids-comma", "ids-empty", "m-max-1", "x-1", "m-max-0"],
+    )
+    def test_inputs_that_check_nothing_exit_2(self, args, message):
+        proc = run_cli("claims", *args)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+    def test_bound_sweep_script_shares_the_csv_rows(self):
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "bound_sweep.py"), "--m", "3", "5", "--x", "100"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.reader(io.StringIO(proc.stdout)))
+        assert rows[0] == [
+            "claim_id", "param_m", "param_x", "claimed", "actual", "discrepancy", "verdict",
+        ]
+        # C4, C6: 2 cells; C7: 1; C10: m = 2..5; C12: 2 cells x 2 bounds
+        ids = [r[0] for r in rows[1:]]
+        assert ids == ["C4"] * 2 + ["C6"] * 2 + ["C7"] + ["C10"] * 4 + ["C12"] * 4
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "claims.json"
