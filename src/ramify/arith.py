@@ -4,7 +4,11 @@ Plain integer arithmetic only: gcd / extended gcd, a two-modulus Chinese
 remainder solver, a bit-packed prime table, and divisor scans over a
 window.  The operating envelope is unsigned 64-bit; the one product that
 can leave it (the CRT period) is checked instead of being allowed to
-grow silently into a nonsense report.
+grow silently into a nonsense report.  That check guards only
+``crt_solve``, whose one caller in the package is ``admits_ramifier``:
+``counting.build_sieve`` solves its congruences inline and has no
+overflow path, since its periods lie below m**2 and a progression whose
+start exceeds x marks nothing.
 """
 
 from __future__ import annotations

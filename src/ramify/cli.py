@@ -123,22 +123,21 @@ def _cmd_check(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_scan(args: argparse.Namespace, argv: list[str]) -> int:
     sieve = build_sieve(args.m, args.x, budget_bits=args.budget_bits)
     summary = summarize_sieve(sieve)
-    ns = sieve.ramifiers()
-    truncated = len(ns) > LIST_CAP
-    payload = {
-        "summary": asdict(summary),
-        "ramifiers": None if truncated else ns,
-        "truncated": truncated,
-    }
+    truncated = summary.count > LIST_CAP
+    ns = None if truncated else sieve.ramifiers()
+    payload = {"summary": asdict(summary), "ramifiers": ns, "truncated": truncated}
     lines = [
         f"m={summary.m} x={summary.x}: {summary.count} ramifiers, "
         f"radius {summary.radius}",
         f"upper main term {summary.upper_main:.4f}, "
         f"lower main term {summary.lower_main:.4f}",
-        "ramifiers: " + (f"(truncated, {len(ns)} > {LIST_CAP})" if truncated else str(ns)),
+        "ramifiers: "
+        + (f"(truncated, {summary.count} > {LIST_CAP})" if truncated else str(ns)),
     ]
-    csv_rows = [["n", "character"]]
-    csv_rows += [[n, 1 if sieve.bit(n) else 0] for n in range(2, args.x + 1)]
+    csv_rows = None
+    if args.format == "csv":  # one row per n <= x, so built only when printed
+        csv_rows = [["n", "character"]]
+        csv_rows += [[n, 1 if sieve.bit(n) else 0] for n in range(2, args.x + 1)]
     _emit(args, argv, payload, lines, csv_rows)
     return 0
 
@@ -265,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument(
         "--budget-bits", type=int, default=DEFAULT_BUDGET_BITS, metavar="N",
-        help="bitmap memory budget in bits",
+        help="sieve memory budget in bits; the sieve charges 8 bits per n <= x",
     )
     p.set_defaults(func=_cmd_scan, json=False)
 

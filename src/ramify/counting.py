@@ -3,10 +3,12 @@ the modulus-summed double count, and multi-modulus scans.
 
 Two independent routes compute the same sets.  The sieve marks, for every
 residue split a1 + a2 = m and inner modulus r, the arithmetic progression
-of solutions of the congruence pair; the fast counters instead classify
-each n by its quotient against m, with closed forms below 2m and one
-ascending sweep over the moduli for the rest.  The test suite holds the
-two routes bit-for-bit against each other.
+of solutions of the congruence pair, solving the CRT once per r and
+writing each progression as one slice of a byte array; it shares nothing
+with the fast counters, which instead classify each n by its quotient
+against m, with closed forms below 2m and one ascending sweep over the
+moduli for the rest.  The test suite holds the two routes bit-for-bit
+against each other.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import _BIT, DEFAULT_BUDGET_BITS, ResourceBudgetError, crt_solve
+from .arith import _BIT, DEFAULT_BUDGET_BITS, ResourceBudgetError
 
 
 @dataclass(frozen=True)
@@ -52,37 +54,47 @@ class CountSummary:
     has_ramifiers: bool
 
 
-def _check_budget(x: int, budget_bits: int) -> None:
-    if x + 1 > budget_bits:
-        raise ResourceBudgetError(f"range to {x} exceeds budget of {budget_bits} bits")
+def _check_budget(x: int, bits: int, budget_bits: int) -> None:
+    if bits > budget_bits:
+        raise ResourceBudgetError(
+            f"range to {x} needs {bits} bits, over the budget of {budget_bits} bits"
+        )
 
 
 def build_sieve(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> RamifierSieve:
     """Mark every ramifier n in [2, x] for modulus m by progression marking.
 
-    For each residue split a1 + a2 = m and each inner modulus r in
-    (a2, m), the solvable congruence pairs contribute the progression
-    least + k*lcm(m, r); their union over all pairs is the ramifier set.
+    n ramifies iff n = a1 (mod m) and n = a2 (mod r) for some split
+    a1 + a2 = m and inner modulus r in (a2, m).  Per r, with g = gcd(m, r),
+    the pair is solvable iff g divides a1 - a2 = m - 2*a2, that is iff
+    g / gcd(g, 2) divides a2, and its solutions are the progression
+    n0 + k*lcm(m, r) of the two-modulus CRT; g, the period and the inverse
+    of m/g mod r/g are computed once per r.  Each progression is one slice
+    write into a byte per n, which is why the budget charges 8 bits per n,
+    and the bytes are packed into the sieve's bits once at the end.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if x < 2:
         raise ValueError("x must be >= 2")
-    _check_budget(x, budget_bits)
-    bits = bytearray((x >> 3) + 1)
-    for a1 in range(1, m):
-        a2 = m - a1
-        for r in range(a2 + 1, m):
-            sol = crt_solve(a1, m, a2, r)
-            if sol is None:
-                continue
-            n = sol.least
-            if n < 2:
-                n += sol.period
-            while n <= x:
-                bits[n >> 3] |= _BIT[n & 7]
-                n += sol.period
-    return RamifierSieve(m=m, x=x, bits=bytes(bits))
+    _check_budget(x, 8 * (x + 1), budget_bits)
+    flags = bytearray(x + 1)
+    ones = memoryview(b"\x01" * (x // m + 1))  # every period is a multiple of m
+    for r in range(2, m):
+        g = math.gcd(m, r)
+        r_g = r // g
+        period = m * r_g
+        inv = pow(m // g, -1, r_g)
+        step = g // math.gcd(g, 2)
+        for a2 in range(step, r, step):  # a2 < r < m keeps a1, and so n0, >= 2
+            a1 = m - a2
+            n0 = a1 + m * ((a2 - a1) // g * inv % r_g)
+            if n0 <= x:
+                flags[n0::period] = ones[: (x - n0) // period + 1]
+    v = 0
+    for j in range(8):
+        v |= int.from_bytes(flags[j::8], "little") << j
+    return RamifierSieve(m=m, x=x, bits=v.to_bytes((x >> 3) + 1, "little"))
 
 
 def upper_main_term(m: int, x: int) -> float:
@@ -176,7 +188,7 @@ def ramifier_counts(x: int, m_lo: int, m_hi: int) -> list[int]:
     """Exact per-modulus ramifier counts over [2, x] for m in [m_lo, m_hi]."""
     if not 2 <= m_lo <= m_hi <= x:
         raise ValueError("need 2 <= m_lo <= m_hi <= x")
-    _check_budget(x, DEFAULT_BUDGET_BITS)
+    _check_budget(x, x + 1, DEFAULT_BUDGET_BITS)
     return [
         sum(map(len, low)) + sum(len([k for k in ks if k > c]) for _, c, ks in windows)
         for _, low, windows in _sweep(x, m_lo, m_hi)
@@ -193,7 +205,7 @@ def multi_modulus_ramifiers(x: int) -> list[tuple[int, list[int]]]:
     each paired with its full ascending modulus list."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    _check_budget(x, DEFAULT_BUDGET_BITS)
+    _check_budget(x, x + 1, DEFAULT_BUDGET_BITS)
     moduli: list[list[int]] = [[] for _ in range(x + 1)]
     for m, low, windows in _sweep(x, 2, x):  # ascending m keeps each list sorted
         for ns in low:

@@ -140,6 +140,30 @@ class TestScan:
         assert proc.returncode == 3
         assert "budget" in proc.stderr
 
+    def test_budget_boundary(self):
+        # the sieve charges one byte, 8 bits, per n in [0, x]
+        scan = ("scan", "--m", "7", "--x", "1000", "--budget-bits")
+        assert run_cli(*scan, str(8 * 1001)).returncode == 0
+        proc = run_cli(*scan, str(8 * 1001 - 1))
+        assert proc.returncode == 3
+        assert "budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, golden",
+        [
+            (("--m", "37", "--x", "600", "--format", "json"), "scan_m37_x600.json"),
+            # 15,565 ramifiers, over the LIST_CAP of 10,000
+            (("--m", "997", "--x", "40000", "--format", "json"), "scan_m997_x40000.json"),
+            (("--m", "997", "--x", "40000"), "scan_m997_x40000.txt"),
+        ],
+        ids=["m37-x600-json", "m997-x40000-json-truncated", "m997-x40000-text-truncated"],
+    )
+    def test_golden_payload(self, args, golden):
+        proc = run_cli("scan", *args)
+        assert proc.returncode == 0
+        assert without_timestamp(proc.stdout) == (GOLDEN / golden).read_text()
+
     def test_domain_guard(self):
         assert run_cli("scan", "--m", "1", "--x", "10").returncode == 2
 

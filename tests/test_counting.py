@@ -1,10 +1,10 @@
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramify.arith import ResourceBudgetError
+from ramify.arith import _BIT, ResourceBudgetError, crt_solve
 from ramify.counting import (
     _low_bands,
     build_sieve,
@@ -33,6 +33,30 @@ def naive_multi(x):
     return out
 
 
+def pairwise_progressions(m):
+    """(start, period) of every solvable (a1, r) pair, one crt_solve per pair:
+    the route build_sieve used before it solved the CRT once per r."""
+    out = []
+    for a1 in range(1, m):
+        a2 = m - a1
+        for r in range(a2 + 1, m):
+            sol = crt_solve(a1, m, a2, r)
+            if sol is not None:
+                n = sol.least if sol.least >= 2 else sol.least + sol.period
+                out.append((n, sol.period))
+    return out
+
+
+def pairwise_bits(progressions, x):
+    """The sieve bits of those progressions over [2, x], marked one n at a time."""
+    bits = bytearray((x >> 3) + 1)
+    for n, period in progressions:
+        while n <= x:
+            bits[n >> 3] |= _BIT[n & 7]
+            n += period
+    return bytes(bits)
+
+
 @pytest.fixture(scope="session")
 def naive_sets_200():
     """Naive ramifier lists to x = 200 per modulus; the list for a smaller x
@@ -56,16 +80,38 @@ class TestBuildSieve:
             for x in (2, 23, 137):
                 assert build_sieve(m, x).ramifiers() == naive_set(m, x), (m, x)
 
-    @given(st.integers(2, 60), st.integers(2, 600))
-    @settings(max_examples=150)
+    @given(st.integers(2, 60), st.integers(2, 900))
+    @example(5, 3)  # below the first progression start, n0 = 4
+    @example(60, 29)  # below the first progression start, n0 = m/2
+    @example(5, 15)  # one period, lcm(5, 3)
+    @example(12, 24)  # one period, lcm(12, 8)
+    @example(59, 885)  # one period, lcm(59, 15)
+    @settings(max_examples=150, deadline=None)  # the naive oracle sets the pace
     def test_matches_naive_random(self, m, x):
         sieve = build_sieve(m, x)
         for n in range(2, x + 1):
             assert sieve.bit(n) == naive_is_ramifier(n, m)
 
+    def test_matches_pairwise_route(self):
+        for m in range(2, 200):
+            progressions = pairwise_progressions(m)
+            for x in (2, 3, 600, 601, 607):
+                assert build_sieve(m, x).bits == pairwise_bits(progressions, x), (m, x)
+
+    @pytest.mark.parametrize("m", [3, 20, 80, 200, 450, 950])
+    def test_matches_pairwise_route_at_1e5(self, m):
+        # moduli from every band the counting benchmark draws from
+        expected = pairwise_bits(pairwise_progressions(m), 10**5)
+        assert build_sieve(m, 10**5).bits == expected
+
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
             build_sieve(5, 10_000, budget_bits=100)
+
+    def test_budget_charges_a_byte_per_n(self):
+        build_sieve(7, 1000, budget_bits=8 * 1001)
+        with pytest.raises(ResourceBudgetError):
+            build_sieve(7, 1000, budget_bits=8 * 1001 - 1)
 
     def test_bit_range_guard(self):
         with pytest.raises(ValueError):
