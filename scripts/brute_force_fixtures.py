@@ -59,6 +59,23 @@ def multi_modulus(x: int) -> list[tuple[int, list[int]]]:
     return out
 
 
+def pigeonhole(x: int) -> dict:
+    """Claim C8's count of n <= x ramifying in two moduli m <= x, and the
+    least such n with its moduli."""
+    found = multi_modulus(x)
+    return {"count": len(found), "least": found[0] if found else None}
+
+
+def shift_mismatches(m_max: int, n_max: int) -> int:
+    """Claim C11 (i): the pairs (m, n), n in [2, n_max], whose character
+    differs from the character at n + 2m."""
+    return sum(
+        is_ramifier(n, m) != is_ramifier(n + 2 * m, m)
+        for m in range(2, m_max + 1)
+        for n in range(2, n_max + 1)
+    )
+
+
 def main() -> None:
     fixtures: dict = {}
 
@@ -92,8 +109,15 @@ def main() -> None:
 
     fixtures["goldbach"] = {m: goldbach_pairs(m) for m in (4, 8, 10, 12)}
 
+    fixtures["goldbach_counts"] = {
+        m: len(goldbach_pairs(m)) for m in (4, 6, 38, 100, 128, 210, 1000, 9998, 10000)
+    }
+
     fixtures["multi_modulus_x7"] = multi_modulus(7)
     fixtures["multi_modulus_x2"] = multi_modulus(2)
+
+    fixtures["pigeonhole"] = {x: pigeonhole(x) for x in (7, 10, 50, 100)}
+    fixtures["shift_mismatches_m10_n200"] = shift_mismatches(10, 200)
 
     fixtures["threshold"] = {
         x: int(x / math.sqrt(x - math.log(x))) + 1 for x in (2, 4, 20, 100, 1000, 10000)

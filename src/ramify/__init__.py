@@ -36,6 +36,7 @@ from .ramification import (
     admits_ramifier,
     admits_strong_ramifier,
     character,
+    goldbach_counts,
     goldbach_partitions,
     index_of,
     ramifier_witnesses,
@@ -64,6 +65,7 @@ __all__ = [
     "double_sum",
     "ext_gcd",
     "gcd",
+    "goldbach_counts",
     "goldbach_partitions",
     "index_of",
     "multi_modulus_ramifiers",

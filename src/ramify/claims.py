@@ -20,6 +20,12 @@ HOLDS_AT_SCALE, or FAILS_WITH_COUNTEREXAMPLE exactly when the
 counterexample list is non-empty.  Every recorded counterexample can be
 replayed through the core predicates via replay_counterexample.
 
+Claims that only count read bulk answers: C5 takes its partition counts
+from the prime bitset (``goldbach_counts``), C8 its count from the
+closed-form band counts, and C11 property (i) one sieve row per modulus.
+Replays stay on the point predicates, so each replay re-derives a
+recorded violation independently of the bulk route.
+
 Sweeps iterate ascending (m, then n, then r), so reports are
 byte-reproducible.
 """
@@ -36,6 +42,7 @@ from .arith import gcd, prime_table
 from .counting import (
     build_sieve,
     count_ramifiers,
+    low_band_counts,
     lower_main_term,
     multi_modulus_ramifiers,
     ramifier_counts,
@@ -43,9 +50,11 @@ from .counting import (
     upper_main_term,
 )
 from .ramification import (
+    _witness_moduli,
     admits_ramifier,
     admits_strong_ramifier,
     character,
+    goldbach_counts,
     goldbach_partitions,
     ramifier_witnesses,
 )
@@ -271,15 +280,15 @@ def claim_goldbach_equivalence(m_max: int = 1000) -> ClaimReport:
     counterexamples = []
     checked = 0
     certified = 0
-    for m in range(4, m_max + 1, 2):
+    counts = goldbach_counts(m_max, primes)
+    for m, partitions in zip(range(4, m_max + 1, 2), counts):
         checked += 1
-        partitions = goldbach_partitions(m, primes)
         cert = admits_strong_ramifier(m, primes)
         if bool(partitions) != (cert is not None):
             counterexamples.append(
                 {
                     "m": m,
-                    "partitions": len(partitions),
+                    "partitions": partitions,
                     "certificate_found": cert is not None,
                 }
             )
@@ -358,12 +367,19 @@ def claim_double_sum(x_values: tuple[int, ...] = (100, 1000)) -> ClaimReport:
 @_claim("C8", "pigeonhole", "corollary")
 def claim_pigeonhole(x: int = 100) -> ClaimReport:
     """Some n <= x ramifies in at least two moduli m <= x."""
-    found = multi_modulus_ramifiers(x)
+    bands = low_band_counts(x)
+
+    def moduli(n: int) -> list[int]:
+        return [m for m in range(2, x + 1) if character(n, m)]
+
+    # Two bands settle n, as every band member is a proved ramifier; any
+    # other n asks the point predicate of every modulus.
+    found = [n for n in range(2, x + 1) if bands[n] >= 2 or len(moduli(n)) >= 2]
     counterexamples = []
     notes = []
     if found:
-        n0, ms = found[0]
-        notes.append(f"smallest instance: n = {n0} ramifies in moduli {ms}")
+        n0 = found[0]
+        notes.append(f"smallest instance: n = {n0} ramifies in moduli {moduli(n0)}")
     elif x >= 7:
         counterexamples.append({"x": x})
     else:
@@ -382,11 +398,11 @@ def claim_magnification(m_max: int = 30, x: int = 2000) -> ClaimReport:
             a1 = n % m
             if gcd(abs(n - m), a1) != 1:
                 continue
-            for w in ramifier_witnesses(n, m):
+            for r in _witness_moduli(n, m):
                 instances += 1
-                if w.r % a1 == 0 or gcd(w.r, a1) == 1:
+                if r % a1 == 0 or gcd(r, a1) == 1:
                     continue
-                counterexamples.append({"m": m, "n": n, "a1": a1, "r": w.r})
+                counterexamples.append({"m": m, "n": n, "a1": a1, "r": r})
     notes = [
         f"{instances} witnessing moduli examined under the coprimality hypothesis",
         "the difference n - m enters the hypothesis as |n - m|",
@@ -451,24 +467,27 @@ def claim_character_properties(
     failing modulus stays represented in the report."""
     counterexamples: list[dict] = []
     total_i = 0
+    in_range = (1 << max(n_max + 1, 2)) - 4  # the bits of n in [2, n_max]
     for m in range(2, m_max + 1):
-        recorded_for_m = 0
-        for n in range(2, n_max + 1):
-            lhs = character(n, m)
-            rhs = character(n + 2 * m, m)
-            if lhs != rhs:
-                total_i += 1
-                if recorded_for_m < max_counterexamples:
-                    recorded_for_m += 1
-                    counterexamples.append(
-                        {
-                            "property": "i",
-                            "m": m,
-                            "n": n,
-                            "value_at_n": lhs,
-                            "value_at_shift": rhs,
-                        }
-                    )
+        # bit n of v is character(n, m); bit n of v >> 2m is character(n + 2m, m)
+        v = int.from_bytes(build_sieve(m, n_max + 2 * m).bits, "little")
+        mismatches = (v ^ (v >> 2 * m)) & in_range
+        total_i += mismatches.bit_count()
+        for _ in range(max_counterexamples):
+            if not mismatches:
+                break
+            low = mismatches & -mismatches
+            mismatches ^= low
+            n = low.bit_length() - 1
+            counterexamples.append(
+                {
+                    "property": "i",
+                    "m": m,
+                    "n": n,
+                    "value_at_n": v >> n & 1,
+                    "value_at_shift": v >> (n + 2 * m) & 1,
+                }
+            )
     fails_ii = fails_iv = fails_v = 0
     for m in range(2, min(m_max, _SHIFT_CAP) + 1):
         f = math.factorial(m)

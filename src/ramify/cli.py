@@ -25,7 +25,7 @@ from .claims import CLAIMS, ClaimInfo, Verdict, report_rows, run_claim
 from .counting import build_sieve, summarize_sieve
 from .ramification import (
     admits_strong_ramifier,
-    goldbach_partitions,
+    goldbach_counts,
     ramifier_witnesses,
     strong_witnesses,
 )
@@ -190,15 +190,15 @@ def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
     primes = prime_table(args.m_max)
     rows = []
     mismatches = 0
-    for m in range(4, args.m_max + 1, 2):
-        partitions = goldbach_partitions(m, primes)
+    counts = goldbach_counts(args.m_max, primes)
+    for m, partitions in zip(range(4, args.m_max + 1, 2), counts):
         cert = admits_strong_ramifier(m, primes)
         if bool(partitions) != (cert is not None):
             mismatches += 1
         rows.append(
             {
                 "m": m,
-                "partitions": len(partitions),
+                "partitions": partitions,
                 "certificate": None
                 if cert is None
                 else {"n": cert.n, "p1": cert.p1, "r": cert.r, "p2": cert.p2},

@@ -14,7 +14,9 @@ against each other.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .arith import _BIT, DEFAULT_BUDGET_BITS, ResourceBudgetError
 
@@ -216,6 +218,25 @@ def multi_modulus_ramifiers(x: int) -> list[tuple[int, list[int]]]:
                 if k > c:
                     ms.append(m)
     return [(n, ms) for n, ms in enumerate(moduli) if len(ms) >= 2]
+
+
+def low_band_counts(x: int) -> array:
+    """For every n in [0, x], the number of moduli m in [2, x] that hold n in
+    their closed-form bands n < 2m; each such n is a proved ramifier of m.
+
+    One difference array over all the bands, so the cost is O(x) in time
+    and in memory (a 32-bit counter per n, charged against the budget).
+    """
+    if x < 2:
+        raise ValueError("x must be >= 2")
+    _check_budget(x, 32 * (x + 2), DEFAULT_BUDGET_BITS)
+    diff = array("i", bytes(4 * (x + 2)))
+    for m in range(2, x + 1):
+        for band in _low_bands(m, x):
+            if band:
+                diff[band.start] += 1
+                diff[band.stop] -= 1
+    return array("i", accumulate(diff[: x + 1]))
 
 
 def threshold(x: int) -> int:

@@ -84,8 +84,8 @@ def _check_domain(n: int, m: int) -> None:
         raise ValueError("m must be >= 2")
 
 
-def ramifier_witnesses(n: int, m: int) -> list[Witness]:
-    """All witnesses that n ramifies in modulus m, ascending by inner modulus."""
+def _witness_moduli(n: int, m: int) -> list[int]:
+    """The inner moduli witnessing that n ramifies in modulus m, ascending."""
     _check_domain(n, m)
     a1 = n % m
     if a1 <= 1:
@@ -93,20 +93,19 @@ def ramifier_witnesses(n: int, m: int) -> list[Witness]:
         # (m - 1, m); neither admits an inner modulus.
         return []
     a2 = m - a1
-    return [
-        Witness(m=m, n=n, a1=a1, r=r, a2=a2)
-        for r in divisors_in_range(abs(n - a2), a2 + 1, m - 1)
-    ]
+    return divisors_in_range(abs(n - a2), a2 + 1, m - 1)
+
+
+def ramifier_witnesses(n: int, m: int) -> list[Witness]:
+    """All witnesses that n ramifies in modulus m, ascending by inner modulus."""
+    rs = _witness_moduli(n, m)
+    a1 = n % m
+    return [Witness(m=m, n=n, a1=a1, r=r, a2=m - a1) for r in rs]
 
 
 def character(n: int, m: int) -> int:
     """Indicator (0 or 1) of whether n ramifies in modulus m."""
-    _check_domain(n, m)
-    a1 = n % m
-    if a1 <= 1:
-        return 0
-    a2 = m - a1
-    return 1 if divisors_in_range(abs(n - a2), a2 + 1, m - 1) else 0
+    return 1 if _witness_moduli(n, m) else 0
 
 
 def index_of(n: int, m: int) -> IndexRecord | None:
@@ -193,4 +192,25 @@ def goldbach_partitions(m: int, primes: PrimeTable) -> list[tuple[int, int]]:
         (p, m - p)
         for p in plist[: bisect_right(plist, m // 2)]
         if primes.is_prime(m - p)
+    ]
+
+
+def goldbach_counts(m_max: int, primes: PrimeTable) -> list[int]:
+    """The number of Goldbach partitions of every even m in [4, m_max], in
+    ascending m: len(goldbach_partitions(m, primes)) without the lists.
+
+    With P the prime bitset over [0, m_max] and R its bit-reverse, bit p of
+    R >> (m_max - m) is bit m - p of P, so the pairs (p, m - p) with
+    p <= m/2 are the set bits of P & (R >> (m_max - m)) below m/2 + 1.
+    """
+    if m_max < 4:
+        raise ValueError("m_max must be >= 4")
+    if primes.limit < m_max:
+        raise ValueError(f"prime table reaches {primes.limit}, need >= {m_max}")
+    width = m_max + 1
+    P = int.from_bytes(primes.bits, "little") & ((1 << width) - 1)
+    R = int(format(P, f"0{width}b")[::-1], 2)
+    return [
+        (P & (R >> (m_max - m)) & ((1 << (m // 2 + 1)) - 1)).bit_count()
+        for m in range(4, m_max + 1, 2)
     ]

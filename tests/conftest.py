@@ -15,6 +15,16 @@ def primes_10k():
     return prime_table(10_000)
 
 
+@pytest.fixture(scope="session")
+def naive_sets_200():
+    """Naive ramifier lists to x = 200 per modulus, straight off the
+    definition; the list for a smaller x is a prefix of these."""
+    return {
+        m: [n for n in range(2, 201) if any(n % r == m - n % m for r in range(2, m))]
+        for m in range(2, 201)
+    }
+
+
 def pytest_runtest_logreport(report):
     if report.when == "call" and "test_acceptance" in report.nodeid:
         _acceptance_outcomes[report.nodeid.split("::")[-1]] = report.outcome

@@ -2,6 +2,8 @@ import inspect
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramify.claims import (
     CLAIMS,
@@ -23,7 +25,64 @@ from ramify.claims import (
     replay_report,
     run_claim,
 )
-from ramify.ramification import character
+from ramify.arith import gcd
+from ramify.counting import build_sieve, multi_modulus_ramifiers
+from ramify.ramification import character, ramifier_witnesses
+
+
+def shift_by_point_calls(m_max, n_max):
+    """C11 (i) by two point calls per (m, n), the route the runner took
+    before it read one sieve row per modulus: every mismatch, ascending."""
+    mismatches = []
+    for m in range(2, m_max + 1):
+        for n in range(2, n_max + 1):
+            lhs, rhs = character(n, m), character(n + 2 * m, m)
+            if lhs != rhs:
+                mismatches.append(
+                    {"property": "i", "m": m, "n": n, "value_at_n": lhs, "value_at_shift": rhs}
+                )
+    return mismatches
+
+
+def first_per_modulus(mismatches, cap):
+    kept = {}
+    for c in mismatches:
+        kept.setdefault(c["m"], []).append(c)
+    return [c for cs in kept.values() for c in cs[:cap]]
+
+
+def shift_part(report):
+    """The (i) total from the notes and the recorded (i) counterexamples."""
+    total = int(report.notes.split("(i) fails ")[1].split(" ")[0])
+    return total, [c for c in report.counterexamples if c["property"] == "i"]
+
+
+def magnification_by_witnesses(m_max, x):
+    """C9's (instances, counterexamples) through Witness objects."""
+    instances, counterexamples = 0, []
+    for m in range(2, m_max + 1):
+        for n in build_sieve(m, x).ramifiers():
+            a1 = n % m
+            if gcd(abs(n - m), a1) != 1:
+                continue
+            for w in ramifier_witnesses(n, m):
+                instances += 1
+                if w.r % a1 and gcd(w.r, a1) != 1:
+                    counterexamples.append({"m": m, "n": n, "a1": a1, "r": w.r})
+    return instances, counterexamples
+
+
+def pigeonhole_part(report):
+    """(count, smallest-instance note or None) of a C8 report."""
+    note = report.notes.split("; ")[0]
+    return report.actual, note if note.startswith("smallest instance") else None
+
+
+def instance_note(found):
+    if not found:
+        return None
+    n0, ms = found[0]
+    return f"smallest instance: n = {n0} ramifies in moduli {ms}"
 
 
 class TestRegistry:
@@ -199,11 +258,40 @@ class TestPigeonhole:
         assert claim_pigeonhole(100).actual > 0
 
 
+class TestPigeonholeBulkRoute:
+    def test_matches_multi_modulus_list(self):
+        for x in [*range(2, 201), 2500, 3000, 5000]:
+            found = multi_modulus_ramifiers(x)
+            assert pigeonhole_part(claim_pigeonhole(x)) == (len(found), instance_note(found)), x
+
+    def test_matches_naive_sets(self, naive_sets_200):
+        for x in range(2, 201):
+            moduli = {n: [] for n in range(2, x + 1)}
+            for m in range(2, x + 1):
+                for n in naive_sets_200[m]:
+                    if n > x:
+                        break
+                    moduli[n].append(m)
+            found = [(n, ms) for n, ms in moduli.items() if len(ms) >= 2]
+            assert pigeonhole_part(claim_pigeonhole(x)) == (len(found), instance_note(found)), x
+
+    @pytest.mark.parametrize("x, count", [(7, 3), (10, 8), (50, 48), (100, 98)])
+    def test_fixed_cases(self, x, count):
+        # frozen from scripts/brute_force_fixtures.py
+        expected = "smallest instance: n = 3 ramifies in moduli [4, 6]"
+        assert pigeonhole_part(claim_pigeonhole(x)) == (count, expected)
+
+
 class TestMagnification:
     def test_holds_small_sweep(self):
         r = claim_magnification(12, 300)
         assert r.verdict == Verdict.HOLDS_AT_SCALE
         assert r.params["instances"] > 0
+
+    @pytest.mark.parametrize("m_max, x", [(5, 7), (12, 300), (30, 2000), (60, 3000)])
+    def test_matches_witness_route(self, m_max, x):
+        r = claim_magnification(m_max, x)
+        assert (r.params["instances"], r.counterexamples) == magnification_by_witnesses(m_max, x)
 
     def test_filtered_instance(self):
         # gcd(|7-5|, 2) = 2, so (7, 5) must not enter the hypothesis set
@@ -238,6 +326,29 @@ class TestCharacterProperties:
         # the cap keeps every failing modulus represented
         full = claim_character_properties(10, 200, max_counterexamples=10**6)
         assert set(per_m) == {c["m"] for c in full.counterexamples if c["property"] == "i"}
+
+
+class TestShiftBulkRoute:
+    def test_matches_point_calls_at_60_3000(self):
+        mismatches = shift_by_point_calls(60, 3000)
+        for cap in (0, 1, 25):
+            r = claim_character_properties(60, 3000, max_counterexamples=cap)
+            assert shift_part(r) == (len(mismatches), first_per_modulus(mismatches, cap))
+
+    @given(
+        st.integers(2, 24),
+        st.integers(2, 400),
+        st.sampled_from([0, 1, 25]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_point_calls_random(self, m_max, n_max, cap):
+        mismatches = shift_by_point_calls(m_max, n_max)
+        r = claim_character_properties(m_max, n_max, max_counterexamples=cap)
+        assert shift_part(r) == (len(mismatches), first_per_modulus(mismatches, cap))
+
+    def test_fixed_total(self):
+        # frozen from scripts/brute_force_fixtures.py
+        assert shift_part(claim_character_properties(10, 200))[0] == 361
 
 
 class TestThresholdScale:

@@ -225,8 +225,13 @@ class TestClaims:
             (("--m-max", "12", "--x", "200"), "claims_m12_x200.txt"),
             # --m-max 3 runs C5 at its floor m_max = 4
             (("--m-max", "3", "--x", "40", "--format", "json"), "claims_m3_x40.json"),
+            # the claims that read bulk rows; C11 records 25 per modulus here
+            (
+                ("--ids", "C5,C8,C9,C11", "--m-max", "30", "--x", "600", "--format", "json"),
+                "claims_c5_c8_c9_c11_m30_x600.json",
+            ),
         ],
-        ids=["m12-x200-json", "m12-x200-csv", "m12-x200-text", "m3-x40-json"],
+        ids=["m12-x200-json", "m12-x200-csv", "m12-x200-text", "m3-x40-json", "bulk-m30-x600"],
     )
     def test_golden_payload(self, args, golden):
         proc = run_cli("claims", *args)
@@ -291,6 +296,25 @@ class TestClaims:
         ids = [r[0] for r in rows[1:]]
         assert ids == ["C4"] * 2 + ["C6"] * 2 + ["C7"] + ["C10"] * 4 + ["C12"] * 4
 
+    def test_c8_at_x_1e5_stays_in_its_envelope(self):
+        # O(x) time and memory; the modulus lists would need ~4e9 entries
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramify", "claims", "--ids", "C8", "--x", "100000",
+             "--format", "json"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        (report,) = payload_of(proc)["reports"]
+        assert report["actual"] == 99_998
+
+    def test_c8_beyond_its_counters_exit_3(self):
+        # a 32-bit counter per n in [0, x + 1] passes 2**30 bits at x = 2**25 - 1
+        proc = run_cli("claims", "--ids", "C8", "--x", str(2**25 - 1))
+        assert proc.returncode == 3
+        assert "budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "claims.json"
         proc = run_cli(
@@ -345,6 +369,14 @@ class TestGoldbach:
         rows = list(csv.reader(io.StringIO(proc.stdout)))
         assert rows[0][:2] == ["m", "partitions"]
         assert rows[1] == ["4", "1", "2", "2", "3", "2"]
+
+    @pytest.mark.parametrize(
+        "fmt, golden", [("json", "goldbach_m200.json"), ("csv", "goldbach_m200.csv")]
+    )
+    def test_golden_payload(self, fmt, golden):
+        proc = run_cli("goldbach", "--m-max", "200", "--format", fmt)
+        assert proc.returncode == 0
+        assert without_timestamp(proc.stdout) == (GOLDEN / golden).read_text()
 
 
 class TestEnvelope:

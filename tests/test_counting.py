@@ -10,6 +10,7 @@ from ramify.counting import (
     build_sieve,
     count_ramifiers,
     double_sum,
+    low_band_counts,
     multi_modulus_ramifiers,
     ramifier_counts,
     threshold,
@@ -55,13 +56,6 @@ def pairwise_bits(progressions, x):
             bits[n >> 3] |= _BIT[n & 7]
             n += period
     return bytes(bits)
-
-
-@pytest.fixture(scope="session")
-def naive_sets_200():
-    """Naive ramifier lists to x = 200 per modulus; the list for a smaller x
-    is a prefix of these."""
-    return {m: naive_set(m, 200) for m in range(2, 201)}
 
 
 class TestBuildSieve:
@@ -226,6 +220,33 @@ class TestLowBands:
                 ns = [n for b in _low_bands(m, x) for n in b]
                 assert all(a < b for a, b in zip(ns, ns[1:])), (m, x)
                 assert ns == [n for n in below_2m if n <= x], (m, x)
+
+
+class TestLowBandCounts:
+    def test_matches_naive(self, naive_sets_200):
+        # every modulus m <= x whose ramifiers include n with n < 2m
+        for x in range(2, 201):
+            expected = [0] * (x + 1)
+            for m in range(2, x + 1):
+                for n in naive_sets_200[m]:
+                    if n >= min(2 * m, x + 1):
+                        break
+                    expected[n] += 1
+            assert list(low_band_counts(x)) == expected, x
+
+    def test_only_n2_below_two_bands(self):
+        for x in (10, 2500, 3000, 5000):
+            counts = low_band_counts(x)
+            assert [n for n in range(2, x + 1) if counts[n] < 2] == [2], x
+
+    def test_budget_charges_32_bits_per_n(self):
+        # a 32-bit counter per n in [0, x + 1]; the default budget is 2**30 bits
+        with pytest.raises(ResourceBudgetError):
+            low_band_counts(2**25 - 1)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            low_band_counts(1)
 
 
 class TestThreshold:

@@ -10,6 +10,7 @@ from ramify.ramification import (
     admits_ramifier,
     admits_strong_ramifier,
     character,
+    goldbach_counts,
     goldbach_partitions,
     index_of,
     ramifier_witnesses,
@@ -238,6 +239,33 @@ class TestGoldbachPartitions:
         for m in range(4, 201, 2):
             has_partition = bool(goldbach_partitions(m, primes_200))
             assert has_partition == (admits_strong_ramifier(m, primes_200) is not None)
+
+
+class TestGoldbachCounts:
+    def test_matches_partition_lists_to_1e4(self, primes_10k):
+        counts = goldbach_counts(10_000, primes_10k)
+        assert counts == [
+            len(goldbach_partitions(m, primes_10k)) for m in range(4, 10_001, 2)
+        ]
+
+    def test_fixed_cases(self, primes_10k):
+        # frozen from scripts/brute_force_fixtures.py
+        frozen = {4: 1, 6: 1, 38: 2, 100: 6, 128: 3, 210: 19, 1000: 28, 9998: 99, 10000: 127}
+        counts = goldbach_counts(10_000, primes_10k)
+        assert {m: counts[m // 2 - 2] for m in frozen} == frozen
+
+    @pytest.mark.parametrize("m_max", [4, 5, 6, 7, 199, 201])
+    def test_odd_and_smallest_m_max(self, primes_10k, m_max):
+        expected = [len(goldbach_partitions(m, primes_10k)) for m in range(4, m_max + 1, 2)]
+        assert goldbach_counts(m_max, primes_10k) == expected
+        # a table sized to m_max itself gives the same counts
+        assert goldbach_counts(m_max, prime_table(m_max)) == expected
+
+    def test_domain_guards(self, primes_200):
+        with pytest.raises(ValueError):
+            goldbach_counts(3, primes_200)
+        with pytest.raises(ValueError):
+            goldbach_counts(201, prime_table(200))
 
 
 class TestQuadraticResidueNonRamifiers:
