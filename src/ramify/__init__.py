@@ -8,14 +8,10 @@ exactly at finite scale and reported with verdicts and counterexamples.
 """
 
 from .arith import (
-    CrtSolution,
     DEFAULT_BUDGET_BITS,
     PrimeTable,
     ResourceBudgetError,
-    crt_solve,
     divisors_in_range,
-    ext_gcd,
-    gcd,
     prime_table,
 )
 from .counting import (
@@ -46,7 +42,6 @@ from .ramification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CrtSolution",
     "CountSummary",
     "DEFAULT_BUDGET_BITS",
     "IndexRecord",
@@ -60,11 +55,8 @@ __all__ = [
     "build_sieve",
     "character",
     "count_ramifiers",
-    "crt_solve",
     "divisors_in_range",
     "double_sum",
-    "ext_gcd",
-    "gcd",
     "goldbach_counts",
     "goldbach_partitions",
     "index_of",

@@ -1,14 +1,5 @@
-"""Exact integer helpers shared by the ramifier predicates and sieves.
-
-Plain integer arithmetic only: gcd / extended gcd, a two-modulus Chinese
-remainder solver, a bit-packed prime table, and divisor scans over a
-window.  The operating envelope is unsigned 64-bit; the one product that
-can leave it (the CRT period) is checked instead of being allowed to
-grow silently into a nonsense report.  That check guards only
-``crt_solve``, whose one caller in the package is ``admits_ramifier``:
-``counting.build_sieve`` solves its congruences inline and has no
-overflow path, since its periods lie below m**2 and a progression whose
-start exceeds x marks nothing.
+"""Exact integer helpers shared by the ramifier predicates and sieves:
+a bit-packed prime table and divisor scans over a window.
 """
 
 from __future__ import annotations
@@ -16,8 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-U64_LIMIT = 1 << 64
 
 #: Default cap, in bits, for any bitmap allocated by this package.
 DEFAULT_BUDGET_BITS = 1 << 30
@@ -27,59 +16,6 @@ _BIT = (1, 2, 4, 8, 16, 32, 64, 128)
 
 class ResourceBudgetError(Exception):
     """A sieve or table would exceed the configured memory budget."""
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two non-negative integers, gcd(0, 0) = 0."""
-    return math.gcd(a, b)
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with a*s + b*t = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-@dataclass(frozen=True)
-class CrtSolution:
-    """Least non-negative solution of a two-congruence system, with its period."""
-
-    least: int
-    period: int
-
-
-def crt_solve(a1: int, m: int, a2: int, r: int) -> CrtSolution | None:
-    """Solve n = a1 (mod m) and n = a2 (mod r) simultaneously.
-
-    Returns None when gcd(m, r) does not divide a1 - a2 (the system is
-    unsolvable); otherwise the least non-negative solution together with
-    the period lcm(m, r).
-
-    Raises OverflowError when lcm(m, r) does not fit in 64 bits, and
-    ValueError on residues outside their modulus.
-    """
-    if m < 1 or r < 1:
-        raise ValueError("moduli must be >= 1")
-    if not 0 <= a1 < m:
-        raise ValueError(f"residue a1={a1} out of range for modulus {m}")
-    if not 0 <= a2 < r:
-        raise ValueError(f"residue a2={a2} out of range for modulus {r}")
-    g = math.gcd(m, r)
-    if (a1 - a2) % g:
-        return None
-    period = m // g * r
-    if period >= U64_LIMIT:
-        raise OverflowError(f"lcm({m}, {r}) exceeds 64 bits")
-    r_g = r // g
-    t = (a2 - a1) // g * pow(m // g, -1, r_g) % r_g
-    return CrtSolution(least=a1 + m * t, period=period)
 
 
 @dataclass(frozen=True)
@@ -102,12 +38,12 @@ class PrimeTable:
         )
 
 
-def prime_table(limit: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> PrimeTable:
+def prime_table(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to and including limit."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if limit + 1 > budget_bits:
-        raise ResourceBudgetError(f"prime table to {limit} exceeds {budget_bits} bits")
+    if limit + 1 > DEFAULT_BUDGET_BITS:
+        raise ResourceBudgetError(f"prime table to {limit} exceeds {DEFAULT_BUDGET_BITS} bits")
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):

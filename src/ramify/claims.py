@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-from .arith import gcd, prime_table
+from .arith import prime_table
 from .counting import (
     build_sieve,
     count_ramifiers,
@@ -396,11 +396,11 @@ def claim_magnification(m_max: int = 30, x: int = 2000) -> ClaimReport:
     for m in range(2, m_max + 1):
         for n in build_sieve(m, x).ramifiers():
             a1 = n % m
-            if gcd(abs(n - m), a1) != 1:
+            if math.gcd(abs(n - m), a1) != 1:
                 continue
             for r in _witness_moduli(n, m):
                 instances += 1
-                if r % a1 == 0 or gcd(r, a1) == 1:
+                if r % a1 == 0 or math.gcd(r, a1) == 1:
                     continue
                 counterexamples.append({"m": m, "n": n, "a1": a1, "r": r})
     notes = [
@@ -645,11 +645,11 @@ def replay_counterexample(claim_id: str, cx: dict) -> bool:
         return not multi_modulus_ramifiers(cx["x"])
     if claim_id == "C9":
         m, n, a1, r = cx["m"], cx["n"], cx["a1"], cx["r"]
-        if n % m != a1 or gcd(abs(n - m), a1) != 1:
+        if n % m != a1 or math.gcd(abs(n - m), a1) != 1:
             return False
         if r not in [w.r for w in ramifier_witnesses(n, m)]:
             return False
-        return r % a1 != 0 and gcd(r, a1) != 1
+        return r % a1 != 0 and math.gcd(r, a1) != 1
     if claim_id == "C11":
         m, n = cx["m"], cx["n"]
         prop = cx["property"]

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Any
 
@@ -33,26 +33,15 @@ from .ramification import (
 LIST_CAP = 10_000  # scan payloads above this many ramifiers are truncated
 
 
-@dataclass(frozen=True)
-class OutputEnvelope:
-    """Stable wrapper around every machine-readable payload."""
-
-    tool_version: str
-    command: str
-    generated_at: str
-    payload: Any
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-
-def _envelope(argv: list[str], payload: Any) -> OutputEnvelope:
-    return OutputEnvelope(
-        tool_version=__version__,
-        command="ramify " + " ".join(argv),
-        generated_at=datetime.now(timezone.utc).isoformat(),
-        payload=payload,
-    )
+def _envelope_json(argv: list[str], payload: Any) -> str:
+    """The stable wrapper around every machine-readable payload, as JSON."""
+    envelope = {
+        "tool_version": __version__,
+        "command": "ramify " + " ".join(argv),
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "payload": payload,
+    }
+    return json.dumps(envelope, sort_keys=True, indent=2)
 
 
 def _deliver(text: str, out: str | None) -> None:
@@ -74,10 +63,8 @@ def _emit(
     if getattr(args, "json", False):
         fmt = "json"
     if fmt == "json" or (args.out and fmt == "text"):
-        _deliver(_envelope(argv, payload).to_json(), args.out)
+        _deliver(_envelope_json(argv, payload), args.out)
     elif fmt == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output is not defined for this subcommand")
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         _deliver(buf.getvalue().rstrip("\n"), args.out)

@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
-from .arith import PrimeTable, crt_solve, divisors_in_range
+from .arith import PrimeTable, divisors_in_range
 from .counting import _low_bands
 
 
@@ -131,54 +132,43 @@ def strong_witnesses(n: int, m: int, primes: PrimeTable) -> list[StrongWitness]:
     return [StrongWitness(m=m, n=n, p1=w.a1, r=w.r, p2=w.a2) for w in ws]
 
 
-def admits_ramifier(m: int) -> Witness | None:
-    """Witness with the least ramifying n for modulus m (ties: least r).
-
-    Enumerates residue splits a1 + a2 = m and inner moduli r in (a2, m),
-    keeping the least solution >= 2 of each solvable congruence pair.
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    best: tuple[int, int, int, int] | None = None
-    for a1 in range(1, m):
-        a2 = m - a1
-        for r in range(a2 + 1, m):
-            sol = crt_solve(a1, m, a2, r)
-            if sol is None:
-                continue
-            n0 = sol.least
-            if n0 < 2:
-                n0 += sol.period
-            if best is None or (n0, r) < best[:2]:
-                best = (n0, r, a1, a2)
-    if best is None:
-        return None
-    n0, r, a1, a2 = best
-    return Witness(m=m, n=n0, a1=a1, r=r, a2=a2)
-
-
-def _min_strong_n(m: int, primes: PrimeTable) -> int | None:
-    # Every strong split is realised below 2m, so the ascending bands suffice.
+def _least_in_bands(
+    m: int, ok: Callable[[int, int], bool]
+) -> tuple[int, int, int, int] | None:
+    """(n, a1, r, a2) for the least ramifier n < 2m of modulus m whose residues
+    satisfy ok(a1, a2), with r its least inner modulus; None if there is none."""
     for band in _low_bands(m, 2 * m - 1):
         for n in band:
-            if primes.is_prime(n % m) and primes.is_prime(m - n % m):
-                return n
+            a1 = n % m
+            a2 = m - a1
+            if ok(a1, a2):
+                return n, a1, divisors_in_range(abs(n - a2), a2 + 1, m - 1)[0], a2
     return None
 
 
+def admits_ramifier(m: int) -> Witness | None:
+    """Witness with the least ramifying n for modulus m (ties: least r).
+
+    Every m >= 3 has the ramifier 2m - 1 (a1 = m - 1, a2 = 1, r = 2), so the
+    least one lies in the closed-form bands n < 2m.
+    """
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    found = _least_in_bands(m, lambda a1, a2: True)
+    return None if found is None else Witness(m, *found)
+
+
 def admits_strong_ramifier(m: int, primes: PrimeTable) -> StrongWitness | None:
-    """Strong witness with the least ramifying n for modulus m, if any."""
+    """Strong witness with the least ramifying n for modulus m, if any.
+
+    Every strong split is realised below 2m, so the bands suffice here too.
+    """
     if m < 2:
         raise ValueError("m must be >= 2")
     if primes.limit < m:
         raise ValueError(f"prime table reaches {primes.limit}, need >= {m}")
-    n = _min_strong_n(m, primes)
-    if n is None:
-        return None
-    a1 = n % m
-    a2 = m - a1
-    r = divisors_in_range(abs(n - a2), a2 + 1, m - 1)[0]
-    return StrongWitness(m=m, n=n, p1=a1, r=r, p2=a2)
+    found = _least_in_bands(m, lambda a1, a2: primes.is_prime(a1) and primes.is_prime(a2))
+    return None if found is None else StrongWitness(m, *found)
 
 
 def goldbach_partitions(m: int, primes: PrimeTable) -> list[tuple[int, int]]:

@@ -5,71 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramify.arith import (
-    CrtSolution,
+    DEFAULT_BUDGET_BITS,
     ResourceBudgetError,
-    crt_solve,
     divisors_in_range,
-    ext_gcd,
-    gcd,
     prime_table,
 )
 
 
 def trial_is_prime(v):
     return v >= 2 and all(v % d for d in range(2, math.isqrt(v) + 1))
-
-
-class TestGcd:
-    def test_schoolbook(self):
-        assert gcd(8, 6) == 2
-
-    def test_zero_identity(self):
-        assert gcd(0, 7) == 7
-
-    def test_coprime(self):
-        assert gcd(3, 4) == 1
-
-    def test_zero_zero_convention(self):
-        assert gcd(0, 0) == 0
-
-    @given(st.integers(0, 10**9), st.integers(0, 10**9))
-    def test_ext_gcd_bezout(self, a, b):
-        g, s, t = ext_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * s + b * t == g
-
-
-class TestCrtSolve:
-    def test_example(self):
-        assert crt_solve(3, 8, 5, 7) == CrtSolution(least=19, period=56)
-
-    def test_unsolvable_parity(self):
-        assert crt_solve(2, 4, 1, 2) is None
-
-    def test_zero_residues(self):
-        assert crt_solve(0, 5, 0, 3) == CrtSolution(least=0, period=15)
-
-    def test_residue_out_of_range(self):
-        with pytest.raises(ValueError):
-            crt_solve(8, 8, 0, 3)
-
-    def test_period_overflow(self):
-        with pytest.raises(OverflowError):
-            crt_solve(1, 2**63, 0, 2**63 - 1)
-
-    @given(st.integers(1, 60), st.integers(1, 60), st.data())
-    @settings(max_examples=200)
-    def test_least_solution_matches_scan(self, m, r, data):
-        a1 = data.draw(st.integers(0, m - 1))
-        a2 = data.draw(st.integers(0, r - 1))
-        sol = crt_solve(a1, m, a2, r)
-        period = m * r // math.gcd(m, r)
-        scan = [n for n in range(period) if n % m == a1 and n % r == a2]
-        if sol is None:
-            assert scan == []
-        else:
-            assert sol.period == period
-            assert scan and scan[0] == sol.least
 
 
 class TestPrimeTable:
@@ -93,8 +37,9 @@ class TestPrimeTable:
             assert pt.is_prime(p) == trial_is_prime(p), p
 
     def test_budget(self):
+        # one bit per n in [0, limit], checked before anything is allocated
         with pytest.raises(ResourceBudgetError):
-            prime_table(10_000, budget_bits=100)
+            prime_table(DEFAULT_BUDGET_BITS)
 
     def test_out_of_range_query(self):
         with pytest.raises(ValueError):

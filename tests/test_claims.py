@@ -25,7 +25,6 @@ from ramify.claims import (
     replay_report,
     run_claim,
 )
-from ramify.arith import gcd
 from ramify.counting import build_sieve, multi_modulus_ramifiers
 from ramify.ramification import character, ramifier_witnesses
 
@@ -63,11 +62,11 @@ def magnification_by_witnesses(m_max, x):
     for m in range(2, m_max + 1):
         for n in build_sieve(m, x).ramifiers():
             a1 = n % m
-            if gcd(abs(n - m), a1) != 1:
+            if math.gcd(abs(n - m), a1) != 1:
                 continue
             for w in ramifier_witnesses(n, m):
                 instances += 1
-                if w.r % a1 and gcd(w.r, a1) != 1:
+                if w.r % a1 and math.gcd(w.r, a1) != 1:
                     counterexamples.append({"m": m, "n": n, "a1": a1, "r": w.r})
     return instances, counterexamples
 

@@ -149,6 +149,17 @@ class TestScan:
         assert "budget" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_index_overflow_exit_2(self):
+        # within the budget, but x + 1 bytes overflow an index-sized integer
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramify", "scan", "--m", "5", "--x", str(10**30),
+             "--budget-bits", str(10**41)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "args, golden",
         [

@@ -1,10 +1,11 @@
+import math
 from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramify.arith import _BIT, ResourceBudgetError, crt_solve
+from ramify.arith import _BIT, ResourceBudgetError
 from ramify.counting import (
     _low_bands,
     build_sieve,
@@ -34,6 +35,17 @@ def naive_multi(x):
     return out
 
 
+def crt_solve(a1, m, a2, r):
+    """(least, period) of n = a1 (mod m), n = a2 (mod r): the least
+    non-negative solution and lcm(m, r), or None when gcd(m, r) does not
+    divide a1 - a2."""
+    g = math.gcd(m, r)
+    if (a1 - a2) % g:
+        return None
+    r_g = r // g
+    return a1 + m * ((a2 - a1) // g * pow(m // g, -1, r_g) % r_g), m * r_g
+
+
 def pairwise_progressions(m):
     """(start, period) of every solvable (a1, r) pair, one crt_solve per pair:
     the route build_sieve used before it solved the CRT once per r."""
@@ -43,8 +55,8 @@ def pairwise_progressions(m):
         for r in range(a2 + 1, m):
             sol = crt_solve(a1, m, a2, r)
             if sol is not None:
-                n = sol.least if sol.least >= 2 else sol.least + sol.period
-                out.append((n, sol.period))
+                least, period = sol
+                out.append((least if least >= 2 else least + period, period))
     return out
 
 
@@ -56,6 +68,33 @@ def pairwise_bits(progressions, x):
             bits[n >> 3] |= _BIT[n & 7]
             n += period
     return bytes(bits)
+
+
+class TestCrtSolve:
+    """The per-pair solver behind pairwise_progressions, the sieve's oracle."""
+
+    def test_example(self):
+        assert crt_solve(3, 8, 5, 7) == (19, 56)
+
+    def test_unsolvable_parity(self):
+        assert crt_solve(2, 4, 1, 2) is None
+
+    def test_zero_residues(self):
+        assert crt_solve(0, 5, 0, 3) == (0, 15)
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.data())
+    @settings(max_examples=200)
+    def test_least_solution_matches_scan(self, m, r, data):
+        a1 = data.draw(st.integers(0, m - 1))
+        a2 = data.draw(st.integers(0, r - 1))
+        sol = crt_solve(a1, m, a2, r)
+        period = m * r // math.gcd(m, r)
+        scan = [n for n in range(period) if n % m == a1 and n % r == a2]
+        if sol is None:
+            assert scan == []
+        else:
+            assert sol[1] == period
+            assert scan and scan[0] == sol[0]
 
 
 class TestBuildSieve:
@@ -211,7 +250,7 @@ class TestMultiModulus:
 
 class TestLowBands:
     def test_ascending_and_exact(self):
-        # _min_strong_n reads the bands in order for the least strong n
+        # _least_in_bands reads the bands in order for the least (strong) n
         for m in range(2, 301):
             below_2m = naive_set(m, 2 * m - 1)
             for x in {2, m // 2, m - 1, m + m // 2, 2 * m - 1, 3 * m}:

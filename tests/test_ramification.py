@@ -1,4 +1,5 @@
 import math
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -178,7 +179,8 @@ class TestAdmitsRamifier:
         assert (w.n, w.a1, w.r, w.a2) == (2, 2, 3, 2)
 
     def test_matches_brute_scan(self):
-        for m in range(2, 80):
+        # larger m only as spot values: brute_minimal costs O(m**2) per modulus
+        for m in [*range(2, 80), 97, 128, 210, 997, 1000, 1024]:
             w = admits_ramifier(m)
             expected = brute_minimal(m)
             if expected is None:
@@ -186,6 +188,16 @@ class TestAdmitsRamifier:
             else:
                 w.validate()
                 assert (w.n, w.r) == expected
+
+    def test_frozen_witness_m997(self):
+        w = admits_ramifier(997)
+        assert (w.n, w.a1, w.r, w.a2) == (665, 665, 333, 332)
+
+    @given(st.integers(3, 600))
+    def test_least_n_is_least_ramifier(self, m):
+        # every m >= 3 has the ramifier 2m - 1 (r = 2), so the scan ends
+        least = next(n for n in count(2) if naive_witness_rs(n, m))
+        assert admits_ramifier(m).n == least
 
 
 class TestAdmitsStrongRamifier:
