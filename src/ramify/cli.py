@@ -290,6 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # within --budget-bits, but more than the host can allocate
+        print("resource budget exceeded: out of memory", file=sys.stderr)
+        return 3
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .arith import PrimeTable, divisors_in_range
@@ -85,16 +86,23 @@ def _check_domain(n: int, m: int) -> None:
         raise ValueError("m must be >= 2")
 
 
-def _witness_moduli(n: int, m: int) -> list[int]:
-    """The inner moduli witnessing that n ramifies in modulus m, ascending."""
+@lru_cache(maxsize=2)
+def _witness_moduli(n: int, m: int) -> tuple[int, ...]:
+    """The inner moduli witnessing that n ramifies in modulus m, ascending.
+
+    A serving caller asks character, index_of and strong_witnesses of the
+    same (n, m) in turn; the two-slot memo lets them share one window scan.
+    The answer is an immutable tuple and its key is the whole input, so a
+    hit is never stale; two slots keep the memory bounded by two answers.
+    """
     _check_domain(n, m)
     a1 = n % m
     if a1 <= 1:
         # a1 = 0 would need a2 = m >= r, and a1 = 1 leaves the empty window
         # (m - 1, m); neither admits an inner modulus.
-        return []
+        return ()
     a2 = m - a1
-    return divisors_in_range(abs(n - a2), a2 + 1, m - 1)
+    return tuple(divisors_in_range(abs(n - a2), a2 + 1, m - 1))
 
 
 def ramifier_witnesses(n: int, m: int) -> list[Witness]:
@@ -115,21 +123,26 @@ def index_of(n: int, m: int) -> IndexRecord | None:
     Several inner moduli can witness the same pair, so the full ascending
     list rides along with the minimum.
     """
-    ws = ramifier_witnesses(n, m)
-    if not ws:
+    rs = _witness_moduli(n, m)
+    if not rs:
         return None
-    rs = tuple(w.r for w in ws)
     return IndexRecord(m=m, n=n, index=rs[0], all_indices=rs)
 
 
 def strong_witnesses(n: int, m: int, primes: PrimeTable) -> list[StrongWitness]:
-    """The witnesses of (n, m) whose residues are both prime."""
+    """The witnesses of (n, m) whose residues are both prime.
+
+    The residues are tested first, so a split that is not a prime pair
+    costs no window scan.
+    """
     if primes.limit < m:
         raise ValueError(f"prime table reaches {primes.limit}, need >= {m}")
-    ws = ramifier_witnesses(n, m)
-    if not ws or not (primes.is_prime(ws[0].a1) and primes.is_prime(ws[0].a2)):
+    _check_domain(n, m)
+    a1 = n % m
+    a2 = m - a1
+    if not (primes.is_prime(a1) and primes.is_prime(a2)):
         return []
-    return [StrongWitness(m=m, n=n, p1=w.a1, r=w.r, p2=w.a2) for w in ws]
+    return [StrongWitness(m=m, n=n, p1=a1, r=r, p2=a2) for r in _witness_moduli(n, m)]
 
 
 def _least_in_bands(

@@ -1,10 +1,12 @@
 import math
+import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramify.arith import (
+    _WHEEL_MIN,
     DEFAULT_BUDGET_BITS,
     ResourceBudgetError,
     divisors_in_range,
@@ -71,4 +73,40 @@ class TestDivisorsInRange:
     def test_matches_filter(self, k, bound1, bound2):
         lo, hi = min(bound1, bound2), max(bound1, bound2)
         expected = [r for r in range(lo, hi + 1) if k == 0 or k % r == 0]
+        assert divisors_in_range(k, lo, hi) == expected
+
+    # k up to 10**12, and multiples of 2, 3, 5 and 30, whose wheels are
+    # narrower (W = 15, 10, 6 and 1)
+    _wheel_k = st.integers(0, 10**12) | st.builds(
+        operator.mul, st.integers(0, 10**12 // 30), st.sampled_from([2, 3, 5, 30])
+    )
+    # window widths hi - lo on both sides of the wheel's gate
+    _width = st.integers(0, 10**4) | st.integers(_WHEEL_MIN - 2, _WHEEL_MIN + 2)
+
+    @given(_wheel_k, st.integers(2, 10**6), _width)
+    @example(10**12, 2, 10**4)  # W = 1: 10**12 is a multiple of 30
+    @example(7 * 11 * 13 * 10**6 + 1, 9_000, _WHEEL_MIN + 1)
+    @example(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 300, 9_000)
+    @settings(max_examples=300, deadline=None)
+    def test_window_scan_across_the_wheel(self, k, lo, width):
+        hi = lo + width
+        expected = [r for r in range(lo, hi + 1) if k == 0 or k % r == 0]
+        assert divisors_in_range(k, lo, hi) == expected
+
+    @given(
+        st.integers((_WHEEL_MIN + 2) ** 2, 2_000**2),
+        st.sampled_from([1, 2, 3, 5, 30]),
+        st.integers(2, 10**4),
+        st.integers(1, 10**4),
+    )
+    @example(720_720, 1, 2, 1)  # 240 divisors, sqrt(k) = 848
+    @example(600**2, 1, 2, 1)  # the root 600 lies in the window once
+    @example(70_001, 1, 2, 70_000)  # the cofactor of d = 1, k itself, lies in the window
+    @settings(max_examples=200, deadline=None)
+    def test_divisor_pairs_across_the_wheel(self, base, mult, lo, extra):
+        # a window wider than 2*sqrt(k) takes the divisor-pair branch, and
+        # sqrt(k) above the gate runs the wheel over the pairs' d <= sqrt(k)
+        k = base * mult
+        hi = lo + 2 * math.isqrt(k) + extra
+        expected = [r for r in range(lo, hi + 1) if k % r == 0]
         assert divisors_in_range(k, lo, hi) == expected

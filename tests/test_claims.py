@@ -43,6 +43,24 @@ def shift_by_point_calls(m_max, n_max):
     return mismatches
 
 
+def factorial_shifts_by_point_calls(m_max, n_max):
+    """C11 (ii) and (v) by five point calls per (m, n), the route the
+    runner took before (ii) read a sieve row: the failure counts and every
+    failure in the runner's order."""
+    fails = {"ii": 0, "v": 0}
+    found = []
+    for m in range(2, min(m_max, 8) + 1):
+        f = math.factorial(m)
+        for n in range(2, n_max + 1):
+            if character(n + f, m) != character(n, m):
+                fails["ii"] += 1
+                found.append({"property": "ii", "m": m, "n": n})
+            if character(n * f, m) != character(n, m) * character(f, m):
+                fails["v"] += 1
+                found.append({"property": "v", "m": m, "n": n})
+    return fails, found
+
+
 def first_per_modulus(mismatches, cap):
     kept = {}
     for c in mismatches:
@@ -348,6 +366,17 @@ class TestShiftBulkRoute:
     def test_fixed_total(self):
         # frozen from scripts/brute_force_fixtures.py
         assert shift_part(claim_character_properties(10, 200))[0] == 361
+
+
+class TestFactorialShiftRowRoute:
+    @pytest.mark.parametrize("m_max, n_max", [(60, 3000), (8, 5), (3, 400), (12, 2)])
+    def test_matches_point_calls(self, m_max, n_max):
+        fails, found = factorial_shifts_by_point_calls(m_max, n_max)
+        r = claim_character_properties(m_max, n_max)
+        cap = min(m_max, 8)
+        assert f"(ii) exhaustive for m <= {cap}: {fails['ii']} failures" in r.notes
+        assert f"(v) exhaustive for m <= {cap}: {fails['v']} failures" in r.notes
+        assert [c for c in r.counterexamples if c["property"] in ("ii", "v")] == found
 
 
 class TestThresholdScale:

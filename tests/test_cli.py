@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import math
+import random
 import re
 import subprocess
 import sys
@@ -114,6 +117,71 @@ class TestCheck:
         assert payload["is_ramifier"] is True
 
 
+def check_grid_pairs():
+    """About 200 (n, m) pairs for the `ramify check --strong` golden grid.
+
+    Random pairs, n log-uniform to 10**12 and m to 10**4; then windows
+    built on purpose: the widest window (n = -1 mod m) on both sides of
+    256 candidates and with k = n - 1 small enough that the divisor-pair
+    scan runs, n = m/2 (every r in the window divides k = 0), and strong
+    ramifiers of even moduli.
+    """
+    rng = random.Random(2019)
+
+    def log_uniform(lo, hi):
+        return min(hi, max(lo, int(math.exp(rng.uniform(math.log(lo), math.log(hi + 1))))))
+
+    pairs = [(log_uniform(2, 10**12), log_uniform(2, 10**4)) for _ in range(150)]
+    for m in (7, 40, 255, 257, 258, 259, 300, 301, 600, 1000, 4096, 7919, 9973, 9998, 10_000):
+        pairs += [(m * t - 1, m) for t in (3, 10**6 // m + 1, 10**12 // m)]
+    pairs += [(20, 40), (300, 600), (129, 258)]
+    for m in (8, 30, 98, 300, 514, 1000, 4002, 9998):
+        for _ in range(2):
+            a1 = rng.choice([p for p in range(3, m - 2) if _is_prime(p) and _is_prime(m - p)])
+            a2 = m - a1
+            rs = [r for r in range(a2 + 1, m) if (a1 - a2) % math.gcd(m, r) == 0]
+            r = rng.choice(rs)  # n = a1 (mod m) and n = a2 (mod r) is solvable
+            start = a2 + r * rng.randrange(10**3, 10**9)
+            pairs.append((next(n for n in range(start, start + r * m, r) if n % m == a1), m))
+    return pairs
+
+
+def _is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def check_grid_text():
+    """The golden grid's file text: per pair its arguments, exit code and
+    the JSON envelope `ramify check --strong --json` prints, less its
+    timestamp line.  Run in-process.  To rewrite the golden file after a
+    deliberate payload change, write this text to tests/golden/check_grid.json
+    (`PYTHONPATH=src:tests python -c "import test_cli; ..."`)."""
+    entries = []
+    for n, m in check_grid_pairs():
+        argv = ["check", str(n), str(m), "--strong", "--json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        entries.append({"argv": argv, "exit": code, "stdout": without_timestamp(out.getvalue())})
+    return json.dumps(entries, indent=1) + "\n"
+
+
+class TestCheckGrid:
+    def test_grid_covers_both_sides_of_the_wheel(self):
+        pairs = check_grid_pairs()
+        assert 190 <= len(pairs) <= 230
+        widths = [n % m - 2 for n, m in pairs]  # hi - lo of the window (m - a1, m)
+        assert any(w > 256 for w in widths) and any(0 <= w <= 256 for w in widths)
+        assert {m % 2 for _, m in pairs} == {0, 1}
+
+    def test_reproduces_the_golden_grid(self):
+        golden = json.loads((GOLDEN / "check_grid.json").read_text())
+        entries = json.loads(check_grid_text())
+        assert len(entries) == len(golden)
+        for got, want in zip(entries, golden):
+            assert got == want, want["argv"]
+
+
 class TestScan:
     def test_m5_x20(self):
         payload = payload_of(run_cli("scan", "--m", "5", "--x", "20", "--format", "json"))
@@ -159,6 +227,19 @@ class TestScan:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_out_of_memory_exit_3(self):
+        # within the budget, but x + 1 bytes are more than any host can
+        # allocate: the allocation fails at once, so nothing is touched
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramify", "scan", "--m", "5", "--x", str(10**18),
+             "--budget-bits", str(10**41)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert "out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize(
         "args, golden",

@@ -1,13 +1,16 @@
 import math
+import random
 from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ramify import ramification
 from ramify.arith import prime_table
 from ramify.ramification import (
     Witness,
+    _witness_moduli,
     admits_ramifier,
     admits_strong_ramifier,
     character,
@@ -152,6 +155,125 @@ class TestStrongWitnesses:
             sw.validate(_PRIMES_150)
             assert (sw.p1, sw.r, sw.p2) in ordinary
             sw.as_witness().validate()
+
+
+def _wide_pairs(rng, count):
+    """(n, m) with m near 10**4, n near 10**12 and a window of more than
+    m/2 candidates; every third one a strong ramifier of an even modulus."""
+    pairs = []
+    while len(pairs) < count:
+        m = rng.randrange(9_000, 10**4 + 1)
+        a1 = rng.randrange(m // 2, m)
+        if len(pairs) % 3 == 2:
+            m += m & 1
+            a1 = rng.choice([p for p in range(m // 2, m) if naive_is_prime(p) and naive_is_prime(m - p)])
+            r = rng.randrange(m - a1 + 1, m)
+            start = m - a1 + r * (10**12 // r)
+            n = next((n for n in range(start, start + r * m, r) if n % m == a1), None)
+            if n is None:  # n = a1 (mod m) and n = m - a1 (mod r) has no solution
+                continue
+        else:
+            n = m * rng.randrange(10**12 // m - 10**6, 10**12 // m) + a1
+        pairs.append((n, m))
+    return pairs
+
+
+class TestSharedWindowScan:
+    """character, index_of and strong_witnesses read one memoised scan per
+    (n, m); a stale memo slot would hand one pair's answer to another."""
+
+    def test_interleaved_requests_match_naive(self, primes_10k):
+        rng = random.Random(41)
+        wide = _wide_pairs(rng, 12)
+        # pairs sharing n, or m and the residue n mod m, with other pairs
+        pool = wide + [(n, m - 1) for n, m in wide[:3]] + [(n + m, m) for n, m in wide[:3]]
+        pool += [(7, 5), (34, 12), (19, 8), (17, 5), (12, 6), (12, 7)]
+        naive = {}
+        for n, m in pool:
+            rs = naive_witness_rs(n, m)
+            a1, a2 = n % m, m - n % m
+            strong = rs if naive_is_prime(a1) and naive_is_prime(a2) else []
+            naive[n, m] = (rs, strong)
+        assert any(strong for _, strong in naive.values())
+        assert any(len(rs) > 1 for rs, _ in naive.values())
+        calls = ("character", "index_of", "strong_witnesses")
+        steps = 0
+        for _ in range(200):
+            a, b = rng.sample(pool, 2)
+            # alternate two pairs, with repeats, calling the three in any order
+            for n, m in (a, b, a, a, b, b, a):
+                rs, strong = naive[n, m]
+                name = rng.choice(calls)
+                if name == "character":
+                    assert character(n, m) == (1 if rs else 0), (n, m)
+                elif name == "index_of":
+                    rec = index_of(n, m)
+                    if rs:
+                        assert (rec.index, list(rec.all_indices)) == (rs[0], rs), (n, m)
+                    else:
+                        assert rec is None, (n, m)
+                else:
+                    ws = strong_witnesses(n, m, primes_10k)
+                    assert [(w.p1, w.r, w.p2) for w in ws] == [
+                        (n % m, r, m - n % m) for r in strong
+                    ], (n, m)
+                steps += 1
+        assert steps == 1400
+
+    def test_one_scan_per_request(self, monkeypatch, primes_10k):
+        scans = []
+        real = ramification.divisors_in_range
+        monkeypatch.setattr(
+            ramification, "divisors_in_range", lambda *a: scans.append(a) or real(*a)
+        )
+        _witness_moduli.cache_clear()
+        for n, m in _wide_pairs(random.Random(5), 9) + [(34, 12), (19, 8)]:
+            before = len(scans)
+            if character(n, m):
+                index_of(n, m)
+            strong_witnesses(n, m, primes_10k)
+            ramifier_witnesses(n, m)
+            assert len(scans) - before == 1, (n, m)
+
+    def test_non_prime_split_costs_no_scan(self, monkeypatch, primes_10k):
+        scans = []
+        monkeypatch.setattr(ramification, "divisors_in_range", lambda *a: scans.append(a))
+        _witness_moduli.cache_clear()
+        # 34 splits 12 as 10 + 2, and n = 9 (mod 9998) splits 9998 as 9 + 9989
+        assert strong_witnesses(34, 12, primes_10k) == []
+        assert strong_witnesses(10**12 + 9 - 10**12 % 9998, 9998, primes_10k) == []
+        assert scans == []
+
+    def test_memo_holds_tuples(self):
+        assert _witness_moduli(34, 12) == (4, 8)
+        assert isinstance(_witness_moduli(34, 12), tuple)
+        assert _witness_moduli(17, 5) == ()
+
+    def test_mutating_a_returned_list_changes_no_later_answer(self, primes_200):
+        ws = ramifier_witnesses(34, 12)
+        ws.clear()
+        ws.append(Witness(m=12, n=34, a1=10, r=99, a2=2))
+        assert [w.r for w in ramifier_witnesses(34, 12)] == [4, 8]
+        assert index_of(34, 12).all_indices == (4, 8)
+        sws = strong_witnesses(19, 8, primes_200)
+        sws.pop()
+        assert [w.r for w in strong_witnesses(19, 8, primes_200)] == [7]
+
+    def test_errors_are_not_memoised(self, primes_200):
+        assert character(7, 5) == 1
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            character(1, 5)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            strong_witnesses(1, 5, primes_200)
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            strong_witnesses(7, 1, primes_200)
+        assert character(7, 5) == 1
+
+    def test_table_size_is_checked_before_the_domain(self):
+        with pytest.raises(ValueError, match="prime table reaches 3"):
+            strong_witnesses(1, 5, prime_table(3))
+        with pytest.raises(ValueError, match="prime table reaches 3"):
+            strong_witnesses(7, 5, prime_table(3))
 
 
 def brute_minimal(m, strong=False):
