@@ -1,5 +1,7 @@
 """Exact integer helpers shared by the ramifier predicates and sieves:
-a bit-packed prime table and divisor scans over a window.
+flag tables (one byte, 0 or 1, per integer, kept as immutable ``bytes``)
+with their budget and their one conversion to an int bitset, a prime
+table, and divisor scans over a window.
 """
 
 from __future__ import annotations
@@ -7,53 +9,61 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
-#: Default cap, in bits, for any bitmap allocated by this package.
+#: Default cap, in bits, for any table allocated by this package.
 DEFAULT_BUDGET_BITS = 1 << 30
-
-_BIT = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 class ResourceBudgetError(Exception):
     """A sieve or table would exceed the configured memory budget."""
 
 
+def _check_budget(x: int, bits: int, budget_bits: int) -> None:
+    if bits > budget_bits:
+        raise ResourceBudgetError(
+            f"range to {x} needs {bits} bits, over the budget of {budget_bits} bits"
+        )
+
+
+def bitset(flags: bytes) -> int:
+    """The int whose bit n is flags[n]; every byte of flags must be 0 or 1."""
+    v = 0
+    for j in range(8):
+        v |= int.from_bytes(flags[j::8], "little") << j
+    return v
+
+
 @dataclass(frozen=True)
 class PrimeTable:
-    """Bit-packed primality table for 0..limit, immutable after construction."""
+    """Primality flags for 0..limit, one byte per integer, immutable."""
 
     limit: int
-    bits: bytes
+    flags: bytes
 
     def is_prime(self, p: int) -> bool:
         if not 0 <= p <= self.limit:
             raise ValueError(f"{p} outside table range 0..{self.limit}")
-        return bool(self.bits[p >> 3] & _BIT[p & 7])
+        return self.flags[p] == 1
 
     @cached_property
     def primes(self) -> tuple[int, ...]:
         """All primes <= limit, ascending."""
-        return tuple(
-            p for p in range(2, self.limit + 1) if self.bits[p >> 3] & _BIT[p & 7]
-        )
+        return tuple(compress(range(self.limit + 1), self.flags))
 
 
 def prime_table(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to and including limit."""
+    """Sieve of Eratosthenes up to and including limit; the table keeps a
+    byte, and so charges 8 bits, per integer in [0, limit]."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if limit + 1 > DEFAULT_BUDGET_BITS:
-        raise ResourceBudgetError(f"prime table to {limit} exceeds {DEFAULT_BUDGET_BITS} bits")
+    _check_budget(limit, 8 * (limit + 1), DEFAULT_BUDGET_BITS)
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
-    bits = bytearray((limit >> 3) + 1)
-    for p in range(2, limit + 1):
-        if flags[p]:
-            bits[p >> 3] |= _BIT[p & 7]
-    return PrimeTable(limit=limit, bits=bytes(bits))
+    return PrimeTable(limit=limit, flags=bytes(flags))
 
 
 #: Scans of at most this many candidates stay one plain comprehension; the

@@ -38,16 +38,14 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-from .arith import prime_table
+from .arith import bitset, prime_table
 from .counting import (
     build_sieve,
     count_ramifiers,
     low_band_counts,
-    lower_main_term,
     multi_modulus_ramifiers,
     ramifier_counts,
     threshold,
-    upper_main_term,
 )
 from .ramification import (
     _witness_moduli,
@@ -250,7 +248,7 @@ def claim_upper_bound(
     for m in m_values:
         for x in x_values:
             s = count_ramifiers(m, x)
-            bound = upper_main_term(m, x)
+            bound = s.upper_main
             cells.append({"m": m, "x": x})
             claimed.append(bound)
             actual.append(s.count)
@@ -321,7 +319,7 @@ def claim_lower_bound(
     for m in m_values:
         for x in x_values:
             s = count_ramifiers(m, x)
-            bound = lower_main_term(m, x)
+            bound = s.lower_main
             cells.append({"m": m, "x": x})
             claimed.append(bound)
             actual.append(s.count)
@@ -470,7 +468,7 @@ def claim_character_properties(
     in_range = (1 << max(n_max + 1, 2)) - 4  # the bits of n in [2, n_max]
     for m in range(2, m_max + 1):
         # bit n of v is character(n, m); bit n of v >> 2m is character(n + 2m, m)
-        v = int.from_bytes(build_sieve(m, n_max + 2 * m).bits, "little")
+        v = bitset(build_sieve(m, n_max + 2 * m).flags)
         mismatches = (v ^ (v >> 2 * m)) & in_range
         total_i += mismatches.bit_count()
         for _ in range(max_counterexamples):
@@ -539,8 +537,7 @@ def claim_character_bounds(
             s = count_ramifiers(m, x)
             t = threshold(x)
             applicable = m >= t
-            low = lower_main_term(m, x)
-            up = upper_main_term(m, x)
+            low, up = s.lower_main, s.upper_main
             for bound_name, bound in (("lower", low), ("upper", up)):
                 cells.append(
                     {"m": m, "x": x, "bound": bound_name, "applicable": applicable}
@@ -575,10 +572,10 @@ def claim_threshold_scale(x_values: tuple[int, ...] = (20,)) -> ClaimReport:
         t = threshold(x)
         violations = 0
         for m in range(2, t):
-            ns = build_sieve(m, x).ramifiers()
-            if ns:
+            n = build_sieve(m, x).flags.find(1)
+            if n >= 0:
                 violations += 1
-                counterexamples.append({"x": x, "m": m, "n": ns[0]})
+                counterexamples.append({"x": x, "m": m, "n": n})
         cells.append({"x": x, "threshold": t})
         claimed.append(0)
         actual.append(violations)

@@ -16,30 +16,30 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
-from .arith import _BIT, DEFAULT_BUDGET_BITS, ResourceBudgetError
+from .arith import DEFAULT_BUDGET_BITS, _check_budget
 
 
 @dataclass(frozen=True)
 class RamifierSieve:
-    """Immutable bitmap over n in [2, x] marking the ramifiers of one modulus."""
+    """The ramifiers of one modulus as flags over n in [0, x], one byte per
+    n, immutable; the bytes of 0 and 1 are always 0."""
 
     m: int
     x: int
-    bits: bytes
+    flags: bytes
 
     def bit(self, n: int) -> bool:
         if not 2 <= n <= self.x:
             raise ValueError(f"n={n} outside sieve range 2..{self.x}")
-        return bool(self.bits[n >> 3] & _BIT[n & 7])
+        return self.flags[n] == 1
 
     def ramifiers(self) -> list[int]:
-        bits = self.bits
-        return [n for n in range(2, self.x + 1) if bits[n >> 3] & _BIT[n & 7]]
+        return list(compress(range(self.x + 1), self.flags))
 
     def count(self) -> int:
-        return int.from_bytes(self.bits, "little").bit_count()
+        return self.flags.count(1)
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,6 @@ class CountSummary:
     has_ramifiers: bool
 
 
-def _check_budget(x: int, bits: int, budget_bits: int) -> None:
-    if bits > budget_bits:
-        raise ResourceBudgetError(
-            f"range to {x} needs {bits} bits, over the budget of {budget_bits} bits"
-        )
-
-
 def build_sieve(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> RamifierSieve:
     """Mark every ramifier n in [2, x] for modulus m by progression marking.
 
@@ -72,8 +65,8 @@ def build_sieve(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> Ra
     g / gcd(g, 2) divides a2, and its solutions are the progression
     n0 + k*lcm(m, r) of the two-modulus CRT; g, the period and the inverse
     of m/g mod r/g are computed once per r.  Each progression is one slice
-    write into a byte per n, which is why the budget charges 8 bits per n,
-    and the bytes are packed into the sieve's bits once at the end.
+    write into the byte of n, and the sieve keeps those bytes, which is
+    why the budget charges 8 bits per n.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -93,10 +86,7 @@ def build_sieve(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> Ra
             n0 = a1 + m * ((a2 - a1) // g * inv % r_g)
             if n0 <= x:
                 flags[n0::period] = ones[: (x - n0) // period + 1]
-    v = 0
-    for j in range(8):
-        v |= int.from_bytes(flags[j::8], "little") << j
-    return RamifierSieve(m=m, x=x, bits=v.to_bytes((x >> 3) + 1, "little"))
+    return RamifierSieve(m=m, x=x, flags=bytes(flags))
 
 
 def upper_main_term(m: int, x: int) -> float:
@@ -111,18 +101,17 @@ def lower_main_term(m: int, x: int) -> float:
 
 def summarize_sieve(sieve: RamifierSieve) -> CountSummary:
     """Count, circle radius, and main-term evaluations for a built sieve."""
-    v = int.from_bytes(sieve.bits, "little")
-    m, x = sieve.m, sieve.x
-    lowest, highest = (v & -v).bit_length() - 1, v.bit_length() - 1
-    radius = max(abs(lowest - m), abs(highest - m)) if v else 0
+    flags, m, x = sieve.flags, sieve.m, sieve.x
+    lowest, highest = flags.find(1), flags.rfind(1)
+    radius = max(abs(lowest - m), abs(highest - m)) if lowest >= 0 else 0
     return CountSummary(
         m=m,
         x=x,
-        count=v.bit_count(),
+        count=flags.count(1),
         upper_main=upper_main_term(m, x),
         lower_main=lower_main_term(m, x),
         radius=radius,
-        has_ramifiers=bool(v),
+        has_ramifiers=lowest >= 0,
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .arith import PrimeTable, divisors_in_range
+from .arith import PrimeTable, bitset, divisors_in_range
 from .counting import _low_bands
 
 
@@ -202,7 +202,7 @@ def goldbach_counts(m_max: int, primes: PrimeTable) -> list[int]:
     """The number of Goldbach partitions of every even m in [4, m_max], in
     ascending m: len(goldbach_partitions(m, primes)) without the lists.
 
-    With P the prime bitset over [0, m_max] and R its bit-reverse, bit p of
+    With P the prime bitset over [0, m_max] and R its reverse, bit p of
     R >> (m_max - m) is bit m - p of P, so the pairs (p, m - p) with
     p <= m/2 are the set bits of P & (R >> (m_max - m)) below m/2 + 1.
     """
@@ -210,9 +210,8 @@ def goldbach_counts(m_max: int, primes: PrimeTable) -> list[int]:
         raise ValueError("m_max must be >= 4")
     if primes.limit < m_max:
         raise ValueError(f"prime table reaches {primes.limit}, need >= {m_max}")
-    width = m_max + 1
-    P = int.from_bytes(primes.bits, "little") & ((1 << width) - 1)
-    R = int(format(P, f"0{width}b")[::-1], 2)
+    P = bitset(primes.flags[: m_max + 1])
+    R = bitset(primes.flags[m_max::-1])
     return [
         (P & (R >> (m_max - m)) & ((1 << (m // 2 + 1)) - 1)).bit_count()
         for m in range(4, m_max + 1, 2)

@@ -7,9 +7,9 @@ slow sweeps (criteria 1, 6, 8) carry their stated wall-clock budgets.
 
 import json
 import math
-import subprocess
-import sys
 import time
+
+from clirun import run_cli
 
 from ramify.arith import prime_table
 from ramify.claims import (
@@ -181,17 +181,11 @@ GOLDEN_RUNS = [
 ]
 
 
-def _run(args):
-    return subprocess.run(
-        [sys.executable, "-m", "ramify", *args], capture_output=True, text=True
-    )
-
-
 def test_criterion_9_cli_golden_runs():
     """Each subcommand example: byte-identical payload across two runs
     (timestamp excluded) and the full exit-code contract."""
     for args, expected_code in GOLDEN_RUNS:
-        first, second = _run(args), _run(args)
+        first, second = run_cli(*args), run_cli(*args)
         assert first.returncode == second.returncode == expected_code, args
         payloads = []
         for proc in (first, second):
@@ -200,8 +194,8 @@ def test_criterion_9_cli_golden_runs():
             payloads.append(json.dumps(env, sort_keys=True))
         assert payloads[0] == payloads[1], args
 
-    assert _run(("check", "17", "5")).returncode == 1
-    assert _run(("check", "1", "5")).returncode == 2
-    assert _run(("claims", "--ids", "C99")).returncode == 2
-    assert _run(("goldbach", "--m-max", "3")).returncode == 2
-    assert _run(("scan", "--m", "5", "--x", "99999", "--budget-bits", "64")).returncode == 3
+    assert run_cli("check", "17", "5").returncode == 1
+    assert run_cli("check", "1", "5").returncode == 2
+    assert run_cli("claims", "--ids", "C99").returncode == 2
+    assert run_cli("goldbach", "--m-max", "3").returncode == 2
+    assert run_cli("scan", "--m", "5", "--x", "99999", "--budget-bits", "64").returncode == 3

@@ -9,8 +9,14 @@ from ramify.arith import (
     _WHEEL_MIN,
     DEFAULT_BUDGET_BITS,
     ResourceBudgetError,
+    bitset,
     divisors_in_range,
     prime_table,
+)
+
+# flag strings of length 0-200, any length mod 8, all zeros and all ones among them
+_flags = st.binary(max_size=200).map(lambda b: bytes(c & 1 for c in b)) | st.builds(
+    lambda bit, k: bytes([bit]) * k, st.sampled_from([0, 1]), st.integers(0, 200)
 )
 
 
@@ -37,11 +43,16 @@ class TestPrimeTable:
         pt = prime_table(10_000)
         for p in range(10_001):
             assert pt.is_prime(p) == trial_is_prime(p), p
+        # one flag byte, 0 or 1, per n in [0, limit]
+        assert type(pt.flags) is bytes
+        assert pt.flags == bytes(trial_is_prime(p) for p in range(10_001))
 
     def test_budget(self):
-        # one bit per n in [0, limit], checked before anything is allocated
+        # one byte per n in [0, limit], checked before anything is allocated
         with pytest.raises(ResourceBudgetError):
             prime_table(DEFAULT_BUDGET_BITS)
+        with pytest.raises(ResourceBudgetError):
+            prime_table(2**27)  # 8 * (2**27 + 1) bits; 2**27 - 1 is the largest that fits
 
     def test_out_of_range_query(self):
         with pytest.raises(ValueError):
@@ -110,3 +121,20 @@ class TestDivisorsInRange:
         hi = lo + 2 * math.isqrt(k) + extra
         expected = [r for r in range(lo, hi + 1) if k % r == 0]
         assert divisors_in_range(k, lo, hi) == expected
+
+
+class TestBitset:
+    @given(_flags)
+    @example(b"")
+    @example(b"\x01" * 8)
+    @example(b"\x00" * 9)
+    def test_bit_n_is_flag_n(self, flags):
+        assert bitset(flags) == sum(1 << n for n, f in enumerate(flags) if f)
+
+    @given(_flags.filter(len), st.integers(0, 199))
+    @example(b"\x01" * 9, 8)
+    def test_reversed_slice(self, flags, k):
+        # goldbach_counts reads the prime table backwards from m_max:
+        # bit k - n of the reversed slice is flags[n]
+        k %= len(flags)
+        assert bitset(flags[k::-1]) == sum(1 << (k - n) for n in range(k + 1) if flags[n])

@@ -6,26 +6,17 @@ import json
 import math
 import random
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from clirun import run_cli, run_python
 
 from ramify import cli
 from ramify.claims import CLAIMS
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
-
-
-def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "ramify", *args],
-        capture_output=True,
-        text=True,
-    )
-    return proc
 
 
 def without_timestamp(text):
@@ -56,6 +47,14 @@ class TestCheck:
 
     def test_malformed_integer_exit_2(self):
         assert run_cli("check", "seven", "5").returncode == 2
+
+    def test_strong_prime_table_over_budget_exit_3(self):
+        # the prime table to m keeps a byte per n in [0, m]: 8 * (2**27 + 1)
+        # bits are over the 2**30-bit budget, so nothing is sieved
+        proc = run_cli("check", "7", str(2**27), "--strong")
+        assert proc.returncode == 3
+        assert "budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_json_payload(self):
         payload = payload_of(run_cli("check", "7", "5", "--json"))
@@ -219,11 +218,7 @@ class TestScan:
 
     def test_index_overflow_exit_2(self):
         # within the budget, but x + 1 bytes overflow an index-sized integer
-        proc = subprocess.run(
-            [sys.executable, "-m", "ramify", "scan", "--m", "5", "--x", str(10**30),
-             "--budget-bits", str(10**41)],
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = run_cli("scan", "--m", "5", "--x", str(10**30), "--budget-bits", str(10**41))
         assert proc.returncode == 2
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -231,11 +226,7 @@ class TestScan:
     def test_out_of_memory_exit_3(self):
         # within the budget, but x + 1 bytes are more than any host can
         # allocate: the allocation fails at once, so nothing is touched
-        proc = subprocess.run(
-            [sys.executable, "-m", "ramify", "scan", "--m", "5", "--x", str(10**18),
-             "--budget-bits", str(10**41)],
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = run_cli("scan", "--m", "5", "--x", str(10**18), "--budget-bits", str(10**41))
         assert proc.returncode == 3
         assert "out of memory" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -374,11 +365,7 @@ class TestClaims:
         assert "Traceback" not in proc.stderr
 
     def test_bound_sweep_script_shares_the_csv_rows(self):
-        proc = subprocess.run(
-            [sys.executable, str(SCRIPTS / "bound_sweep.py"), "--m", "3", "5", "--x", "100"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python(str(SCRIPTS / "bound_sweep.py"), "--m", "3", "5", "--x", "100")
         assert proc.returncode == 0, proc.stderr
         rows = list(csv.reader(io.StringIO(proc.stdout)))
         assert rows[0] == [
@@ -390,11 +377,7 @@ class TestClaims:
 
     def test_c8_at_x_1e5_stays_in_its_envelope(self):
         # O(x) time and memory; the modulus lists would need ~4e9 entries
-        proc = subprocess.run(
-            [sys.executable, "-m", "ramify", "claims", "--ids", "C8", "--x", "100000",
-             "--format", "json"],
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = run_cli("claims", "--ids", "C8", "--x", "100000", "--format", "json")
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
         (report,) = payload_of(proc)["reports"]
@@ -442,6 +425,13 @@ class TestGoldbach:
         certs = {row["m"]: row["certificate"] for row in payload["rows"]}
         assert certs[4] == {"n": 2, "p1": 2, "r": 3, "p2": 2}
         assert certs[10] == {"n": 5, "p1": 5, "r": 6, "p2": 5}
+
+    def test_prime_table_over_budget_exit_3(self):
+        # stops at the prime table, before the O(m_max**2) partition sweep
+        proc = run_cli("goldbach", "--m-max", str(2**27))
+        assert proc.returncode == 3
+        assert "budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_m_max_4(self):
         payload = payload_of(run_cli("goldbach", "--m-max", "4", "--json"))

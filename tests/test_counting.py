@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramify.arith import _BIT, ResourceBudgetError
+from ramify.arith import ResourceBudgetError
 from ramify.counting import (
     _low_bands,
     build_sieve,
@@ -60,14 +60,14 @@ def pairwise_progressions(m):
     return out
 
 
-def pairwise_bits(progressions, x):
-    """The sieve bits of those progressions over [2, x], marked one n at a time."""
-    bits = bytearray((x >> 3) + 1)
+def pairwise_flags(progressions, x):
+    """The sieve flags of those progressions over [0, x], marked one n at a time."""
+    flags = bytearray(x + 1)
     for n, period in progressions:
         while n <= x:
-            bits[n >> 3] |= _BIT[n & 7]
+            flags[n] = 1
             n += period
-    return bytes(bits)
+    return bytes(flags)
 
 
 class TestCrtSolve:
@@ -122,20 +122,27 @@ class TestBuildSieve:
     @settings(max_examples=150, deadline=None)  # the naive oracle sets the pace
     def test_matches_naive_random(self, m, x):
         sieve = build_sieve(m, x)
-        for n in range(2, x + 1):
-            assert sieve.bit(n) == naive_is_ramifier(n, m)
+        expected = naive_set(m, x)
+        assert [n for n in range(2, x + 1) if sieve.bit(n)] == expected
+        assert sieve.ramifiers() == expected
+        assert sieve.count() == len(expected)
+        assert sieve.flags.find(1) == (expected[0] if expected else -1)
+        # one flag byte, 0 or 1, per n in [0, x]; 0 and 1 never ramify
+        assert type(sieve.flags) is bytes
+        hits = set(expected)
+        assert sieve.flags == bytes(n in hits for n in range(x + 1))
 
     def test_matches_pairwise_route(self):
         for m in range(2, 200):
             progressions = pairwise_progressions(m)
             for x in (2, 3, 600, 601, 607):
-                assert build_sieve(m, x).bits == pairwise_bits(progressions, x), (m, x)
+                assert build_sieve(m, x).flags == pairwise_flags(progressions, x), (m, x)
 
     @pytest.mark.parametrize("m", [3, 20, 80, 200, 450, 950])
     def test_matches_pairwise_route_at_1e5(self, m):
         # moduli from every band the counting benchmark draws from
-        expected = pairwise_bits(pairwise_progressions(m), 10**5)
-        assert build_sieve(m, 10**5).bits == expected
+        expected = pairwise_flags(pairwise_progressions(m), 10**5)
+        assert build_sieve(m, 10**5).flags == expected
 
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
