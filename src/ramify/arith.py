@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress
 
 #: Default cap, in bits, for any table allocated by this package.
@@ -94,12 +94,36 @@ def _wheel_divisors(k: int, lo: int, hi: int) -> list[int]:
     return out
 
 
+#: Windows with hi below this bound scan through their smooth part.
+_SMOOTH_MAX = 1 << 14
+
+
+@cache
+def _smooth_lcm(j: int) -> int:
+    """lcm(1, ..., 2**j): the product of the largest power <= 2**j of each
+    prime <= 2**j, built on first use of tier j and kept."""
+    top = 1 << j
+    L = 1
+    for p in prime_table(top).primes:
+        q = p
+        while q * p <= top:
+            q *= p
+        L *= q
+    return L
+
+
 def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
     """Ascending divisors of k inside [lo, hi]; every r >= lo divides 0.
 
     Scans whichever is smaller: the window itself or the divisor pairs of
     k, so the cost is O(min(hi - lo, sqrt(k))).  A scan longer than
     _WHEEL_MIN candidates steps the 2*3*5 wheel of _wheel_divisors.
+
+    Before such a scan, a window with hi < _SMOOTH_MAX trades k for its
+    smooth part K = gcd(k, lcm(1, ..., 2**j)), with 2**j > hi the tier of
+    _smooth_lcm: every r <= hi divides that lcm, so r divides k exactly
+    when it divides K.  K is usually far smaller than k, and the cost
+    becomes O(min(hi - lo, sqrt(K))).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -110,6 +134,11 @@ def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
     if k == 0:
         return list(range(lo, hi + 1))
     root = math.isqrt(k)
+    # the scan below visits the window, or the pairs d <= sqrt(k) when that is
+    # shorter; one that would step the wheel first shrinks k to its smooth part
+    if hi < _SMOOTH_MAX and (hi - lo if hi - lo <= 2 * root else root) > _WHEEL_MIN:
+        k = math.gcd(k, _smooth_lcm(hi.bit_length()))
+        root = math.isqrt(k)
     if hi - lo <= 2 * root:
         if hi - lo <= _WHEEL_MIN:
             return [r for r in range(lo, hi + 1) if k % r == 0]

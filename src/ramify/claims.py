@@ -215,10 +215,14 @@ def claim_quadratic_residues(p_max: int = 50) -> ClaimReport:
                 continue
             pairs_checked += 1
             for exponent in ((p - 1) // 2, p - 1):
+                # A residue a1 <= 1 mod p admits no inner modulus, and Euler
+                # gives a^exponent = 1 (mod p), so the plain integer is built
+                # and tested only when its residue could ramify.  This also
+                # covers e = 1 (a = 1), below the predicate domain n >= 2.
+                if pow(a, exponent, p) < 2:
+                    continue
                 e = a**exponent
-                # e = 1 (only for a = 1) sits below the predicate domain
-                # n >= 2 and is a non-ramifier outright.
-                if e >= 2 and character(e, p) == 1:
+                if character(e, p) == 1:
                     counterexamples.append(
                         {"p": p, "a": a, "exponent": exponent, "element": e}
                     )

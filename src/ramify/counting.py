@@ -81,7 +81,10 @@ def build_sieve(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> Ra
         period = m * r_g
         inv = pow(m // g, -1, r_g)
         step = g // math.gcd(g, 2)
-        for a2 in range(step, r, step):  # a2 < r < m keeps a1, and so n0, >= 2
+        # a2 < r < m keeps a1, and so n0, >= 2; n0 >= a1 = m - a2, so only
+        # a2 >= m - x can mark an n <= x
+        first = max(step, -(-(m - x) // step) * step)
+        for a2 in range(first, r, step):
             a1 = m - a2
             n0 = a1 + m * ((a2 - a1) // g * inv % r_g)
             if n0 <= x:

@@ -37,13 +37,20 @@ class Witness:
     a2: int
 
     def validate(self) -> None:
-        """Assert every structural invariant of a witness."""
-        assert self.n >= 2 and self.m >= 2, "domain requires n >= 2, m >= 2"
-        assert self.a1 == self.n % self.m, "a1 must be the canonical residue mod m"
-        assert self.a2 == self.n % self.r, "a2 must be the canonical residue mod r"
-        assert self.a1 + self.a2 == self.m, "residues must split the modulus"
-        assert self.a2 < self.r < self.m, "inner modulus must lie in (a2, m)"
-        assert self.r >= 2
+        """Check every structural invariant of a witness, in order, and raise
+        ValueError at the first that fails (``python -O`` keeps the checks)."""
+        if not (self.n >= 2 and self.m >= 2):
+            raise ValueError("domain requires n >= 2, m >= 2")
+        if self.a1 != self.n % self.m:
+            raise ValueError("a1 must be the canonical residue mod m")
+        if self.a2 != self.n % self.r:
+            raise ValueError("a2 must be the canonical residue mod r")
+        if self.a1 + self.a2 != self.m:
+            raise ValueError("residues must split the modulus")
+        if not self.a2 < self.r < self.m:
+            raise ValueError("inner modulus must lie in (a2, m)")
+        if self.r < 2:
+            raise ValueError("inner modulus must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,8 @@ class StrongWitness:
                 ok = primes.is_prime(p)
             else:
                 ok = p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
-            assert ok, f"residue {p} is not prime"
+            if not ok:
+                raise ValueError(f"residue {p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -155,7 +163,10 @@ def _least_in_bands(
             a1 = n % m
             a2 = m - a1
             if ok(a1, a2):
-                return n, a1, divisors_in_range(abs(n - a2), a2 + 1, m - 1)[0], a2
+                # n = a2 (the band n = m/2) leaves k = 0, which every
+                # candidate divides, so the least one is a2 + 1
+                k = abs(n - a2)
+                return n, a1, divisors_in_range(k, a2 + 1, m - 1)[0] if k else a2 + 1, a2
     return None
 
 

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramify.arith import (
+    _SMOOTH_MAX,
     _WHEEL_MIN,
+    _smooth_lcm,
     DEFAULT_BUDGET_BITS,
     ResourceBudgetError,
     bitset,
@@ -121,6 +123,75 @@ class TestDivisorsInRange:
         hi = lo + 2 * math.isqrt(k) + extra
         expected = [r for r in range(lo, hi + 1) if k % r == 0]
         assert divisors_in_range(k, lo, hi) == expected
+
+
+def _smooth(a, b, c, d):
+    return 2**a * 3**b * 5**c * 7**d
+
+
+def _next_prime_above(v):
+    v += 1
+    while not trial_is_prime(v):
+        v += 1
+    return v
+
+
+class TestSmoothPart:
+    """Windows with hi < 2**14 scan gcd(k, lcm(1..2**j)); these tests hold
+    that route against the naive filter, which shares nothing with it."""
+
+    def test_smooth_lcm_is_lcm(self):
+        for j in range(15):
+            assert _smooth_lcm(j) == math.lcm(*range(1, 2**j + 1)), j
+        assert _SMOOTH_MAX == 2**14
+
+    # the least prime above each tier boundary 2**j: it divides no lcm(1..2**j)
+    _just_above = [_next_prime_above(2**j) for j in range(9, 15)]
+    # hi on both sides of each tier boundary 2**j, and of _SMOOTH_MAX
+    _hi = st.builds(
+        operator.add, st.integers(9, 14).map(lambda j: 2**j), st.sampled_from([-1, 0, 1])
+    ) | st.sampled_from(_just_above)
+    # smooth k, k times a prime above every window, k dividing lcm(1..2**14),
+    # a multiple of a prime just above 2**j, which a window reaching it must find, and 0
+    _k = st.one_of(
+        st.builds(
+            _smooth, st.integers(0, 40), st.integers(0, 25), st.integers(0, 17), st.integers(0, 14)
+        ),
+        st.builds(
+            lambda a, b, p: _smooth(a, b, 0, 0) * p,
+            st.integers(0, 20),
+            st.integers(0, 12),
+            st.sampled_from([1_000_003, 999_999_999_989]),
+        ),
+        st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 8_191, 16_381]), max_size=8).map(
+            math.prod
+        ),
+        st.builds(operator.mul, st.sampled_from(_just_above), st.integers(1, 10**6)),
+        st.just(0),
+    )
+
+    @given(_k, _hi, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_naive_loop(self, k, hi, data):
+        # K, the part of k the scan sees: gcd(k, lcm(1..2**j)) with 2**j > hi
+        smooth = math.gcd(k, _smooth_lcm(hi.bit_length())) if hi < _SMOOTH_MAX else k
+        # widths hi - lo on both sides of the wheel's gate and of 2*sqrt(K)
+        edges = st.sampled_from([_WHEEL_MIN, 2 * math.isqrt(smooth)])
+        width = data.draw(edges.flatmap(lambda e: st.integers(e - 2, e + 2)) | st.integers(0, hi))
+        lo = hi - min(max(width, 0), hi - 2)
+        assert divisors_in_range(k, lo, hi) == [r for r in range(lo, hi + 1) if k % r == 0]
+
+    @pytest.mark.parametrize(
+        "k, lo, hi",
+        [
+            (0, 2, 2**14),
+            (2**40, 2, 2**14 - 1),
+            (_smooth(10, 6, 4, 3) * 999_999_999_989, 2, 2**14 + 1),
+            (_smooth(10, 6, 4, 3) * 16_411, 2, 16_411),  # the least prime above 2**14
+        ],
+    )
+    def test_whole_windows(self, k, lo, hi):
+        assert divisors_in_range(k, lo, hi) == [r for r in range(lo, hi + 1) if k % r == 0]
 
 
 class TestBitset:

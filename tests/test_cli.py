@@ -250,6 +250,13 @@ class TestScan:
     def test_domain_guard(self):
         assert run_cli("scan", "--m", "1", "--x", "10").returncode == 2
 
+    def test_large_modulus_small_x(self):
+        # only splits with a2 >= m - x can mark an n <= x, so this is O(m), not O(m**2)
+        proc = run_cli("scan", "--m", "30000", "--x", "10", "--format", "json")
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert payload_of(proc)["ramifiers"] == []
+
 
 class TestClaims:
     def test_c2_exit_0(self):
@@ -382,6 +389,14 @@ class TestClaims:
         assert "Traceback" not in proc.stderr
         (report,) = payload_of(proc)["reports"]
         assert report["actual"] == 99_998
+
+    def test_c3_at_m_max_3000(self):
+        # the residue of a^e is taken before the plain power is built
+        proc = run_cli("claims", "--ids", "C3", "--m-max", "3000", "--format", "json")
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        (report,) = payload_of(proc)["reports"]
+        assert (report["claim_id"], report["actual"]) == ("C3", 0)
 
     def test_c8_beyond_its_counters_exit_3(self):
         # a 32-bit counter per n in [0, x + 1] passes 2**30 bits at x = 2**25 - 1

@@ -113,6 +113,13 @@ class TestBuildSieve:
             for x in (2, 23, 137):
                 assert build_sieve(m, x).ramifiers() == naive_set(m, x), (m, x)
 
+    def test_matches_naive_below_and_around_m(self):
+        # x below m skips the splits with a2 < m - x, which cannot mark n <= x
+        for m in range(2, 120):
+            for x in {2, 3, m // 3 + 2, m // 2, m - 1, m, m + 5}:
+                if x >= 2:
+                    assert build_sieve(m, x).ramifiers() == naive_set(m, x), (m, x)
+
     @given(st.integers(2, 60), st.integers(2, 900))
     @example(5, 3)  # below the first progression start, n0 = 4
     @example(60, 29)  # below the first progression start, n0 = m/2

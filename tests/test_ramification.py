@@ -6,9 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clirun import run_python
+
 from ramify import ramification
-from ramify.arith import prime_table
+from ramify.arith import divisors_in_range, prime_table
+from ramify.counting import _low_bands
 from ramify.ramification import (
+    StrongWitness,
     Witness,
     _witness_moduli,
     admits_ramifier,
@@ -322,6 +326,29 @@ class TestAdmitsRamifier:
         assert admits_ramifier(m).n == least
 
 
+def list_route_least(m, ok):
+    """The least ramifier n < 2m of modulus m with ok(a1, a2), as
+    (n, a1, r, a2), r read as [0] of the full window list, k = 0 too."""
+    for band in _low_bands(m, 2 * m - 1):
+        for n in band:
+            a1, a2 = n % m, m - n % m
+            if ok(a1, a2):
+                return n, a1, divisors_in_range(abs(n - a2), a2 + 1, m - 1)[0], a2
+    return None
+
+
+class TestLeastInBands:
+    def test_matches_list_route(self):
+        # n = m/2 leaves k = 0, answered without its window list; every m <= 2000
+        primes = prime_table(2000)
+        strong = lambda a1, a2: primes.is_prime(a1) and primes.is_prime(a2)  # noqa: E731
+        for m in range(2, 2001):
+            w = admits_ramifier(m)
+            assert (w and (w.n, w.a1, w.r, w.a2)) == list_route_least(m, lambda a1, a2: True), m
+            sw = admits_strong_ramifier(m, primes)
+            assert (sw and (sw.n, sw.p1, sw.r, sw.p2)) == list_route_least(m, strong), m
+
+
 class TestAdmitsStrongRamifier:
     @pytest.mark.parametrize(
         "m, expected",
@@ -418,5 +445,29 @@ class TestQuadraticResidueNonRamifiers:
 
 class TestWitnessValidation:
     def test_validate_rejects_corrupt_witness(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             Witness(m=5, n=7, a1=2, r=3, a2=3).validate()
+
+    def test_validate_rejects_composite_residue(self):
+        # 14 = 4 (mod 10) and 14 = 6 (mod 8) split 10 as 4 + 6, which are not prime
+        StrongWitness(m=10, n=14, p1=4, r=8, p2=6).as_witness().validate()
+        with pytest.raises(ValueError, match="not prime"):
+            StrongWitness(m=10, n=14, p1=4, r=8, p2=6).validate()
+
+    def test_validate_rejects_under_optimize(self):
+        # python -O strips assert statements; the checks must survive it
+        code = (
+            "from ramify.ramification import StrongWitness, Witness\n"
+            "for bad in (lambda: Witness(m=5, n=7, a1=2, r=3, a2=3).validate(),\n"
+            "            lambda: StrongWitness(m=10, n=14, p1=4, r=8, p2=6).validate()):\n"
+            "    try:\n"
+            "        bad()\n"
+            "    except ValueError as e:\n"
+            "        print('rejected:', e)\n"
+        )
+        proc = run_python("-O", "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "rejected: a2 must be the canonical residue mod r",
+            "rejected: residue 4 is not prime",
+        ]
