@@ -76,6 +76,10 @@ def shift_mismatches(m_max: int, n_max: int) -> int:
     )
 
 
+def divisors_in_window(k: int, lo: int, hi: int) -> list[int]:
+    return [r for r in range(lo, hi + 1) if k % r == 0]
+
+
 def main() -> None:
     fixtures: dict = {}
 
@@ -121,6 +125,12 @@ def main() -> None:
 
     fixtures["threshold"] = {
         x: int(x / math.sqrt(x - math.log(x))) + 1 for x in (2, 4, 20, 100, 1000, 10000)
+    }
+
+    # Smooth k on wide windows below 2**14, the slowest for a window walk.
+    fixtures["tail_windows"] = {
+        f"{k} in [{lo}, {hi}]": divisors_in_window(k, lo, hi)
+        for k, lo, hi in ((1_164_390_390, 1_001, 9_998), (12_857_589_000, 1_500, 8_191))
     }
 
     # Probes for the quadratic-residue statement at p=7, a=2.

@@ -19,7 +19,6 @@ from .counting import (
     RamifierSieve,
     build_sieve,
     count_ramifiers,
-    double_sum,
     multi_modulus_ramifiers,
     ramifier_counts,
     summarize_sieve,
@@ -56,7 +55,6 @@ __all__ = [
     "character",
     "count_ramifiers",
     "divisors_in_range",
-    "double_sum",
     "goldbach_counts",
     "goldbach_partitions",
     "index_of",

@@ -94,17 +94,26 @@ def _wheel_divisors(k: int, lo: int, hi: int) -> list[int]:
     return out
 
 
-#: Windows with hi below this bound scan through their smooth part.
+#: Wide windows with hi below this bound list the divisors of their smooth
+#: part instead of scanning.
 _SMOOTH_MAX = 1 << 14
 
 
 @cache
+def _smooth_primes() -> tuple[int, ...]:
+    """The primes below _SMOOTH_MAX, built on first use and kept."""
+    return prime_table(_SMOOTH_MAX).primes
+
+
+@cache
 def _smooth_lcm(j: int) -> int:
-    """lcm(1, ..., 2**j): the product of the largest power <= 2**j of each
-    prime <= 2**j, built on first use of tier j and kept."""
+    """lcm(1, ..., 2**j), j <= 14: the product of the largest power <= 2**j
+    of each prime <= 2**j, built on first use of tier j and kept."""
     top = 1 << j
     L = 1
-    for p in prime_table(top).primes:
+    for p in _smooth_primes():
+        if p > top:
+            break
         q = p
         while q * p <= top:
             q *= p
@@ -112,18 +121,50 @@ def _smooth_lcm(j: int) -> int:
     return L
 
 
+def _smooth_divisors(K: int, lo: int, hi: int) -> list[int]:
+    """Ascending divisors of K > 0 in [lo, hi], from K's factorisation over
+    the primes below _SMOOTH_MAX, which must hold every prime factor of K.
+
+    Trial division by the primes in ascending order stops once p*p exceeds
+    the cofactor, which is then 1 or a prime.  The divisors grow as
+    products of prime powers, and a product above hi is dropped as soon as
+    it appears, so the cost is about pi(second-largest prime factor of K)
+    divisions plus one step per divisor of K up to hi.
+    """
+    divs = [1]
+    c = K
+    for p in _smooth_primes():
+        if p * p > c:
+            break
+        if c % p:
+            continue
+        c //= p
+        powers = [p]
+        while c % p == 0:
+            c //= p
+            powers.append(powers[-1] * p)
+        divs += [d * q for q in powers for d in divs if d * q <= hi]
+    if c > 1:
+        divs += [d * c for d in divs if d * c <= hi]
+    out = [d for d in divs if d >= lo]
+    out.sort()
+    return out
+
+
 def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
     """Ascending divisors of k inside [lo, hi]; every r >= lo divides 0.
 
-    Scans whichever is smaller: the window itself or the divisor pairs of
-    k, so the cost is O(min(hi - lo, sqrt(k))).  A scan longer than
-    _WHEEL_MIN candidates steps the 2*3*5 wheel of _wheel_divisors.
+    A scan visits whichever is shorter: the window itself or the divisor
+    pairs d <= sqrt(k).  Three routes, by that length and by hi:
 
-    Before such a scan, a window with hi < _SMOOTH_MAX trades k for its
-    smooth part K = gcd(k, lcm(1, ..., 2**j)), with 2**j > hi the tier of
-    _smooth_lcm: every r <= hi divides that lcm, so r divides k exactly
-    when it divides K.  K is usually far smaller than k, and the cost
-    becomes O(min(hi - lo, sqrt(K))).
+    - at most _WHEEL_MIN candidates: one plain comprehension;
+    - more, with hi < _SMOOTH_MAX: no scan.  Every r <= hi divides
+      lcm(1, ..., 2**j) for the tier 2**j > hi of _smooth_lcm, so r divides
+      k exactly when it divides the smooth part K = gcd(k, lcm(1, ..., 2**j)),
+      and _smooth_divisors lists K's divisors up to hi from its
+      factorisation;
+    - more, with hi >= _SMOOTH_MAX: the window or the pairs stepped on the
+      2*3*5 wheel of _wheel_divisors, O(min(hi - lo, sqrt(k))).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -135,10 +176,9 @@ def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
         return list(range(lo, hi + 1))
     root = math.isqrt(k)
     # the scan below visits the window, or the pairs d <= sqrt(k) when that is
-    # shorter; one that would step the wheel first shrinks k to its smooth part
+    # shorter; one that would step the wheel lists the smooth part's divisors
     if hi < _SMOOTH_MAX and (hi - lo if hi - lo <= 2 * root else root) > _WHEEL_MIN:
-        k = math.gcd(k, _smooth_lcm(hi.bit_length()))
-        root = math.isqrt(k)
+        return _smooth_divisors(math.gcd(k, _smooth_lcm(hi.bit_length())), lo, hi)
     if hi - lo <= 2 * root:
         if hi - lo <= _WHEEL_MIN:
             return [r for r in range(lo, hi + 1) if k % r == 0]

@@ -1,5 +1,6 @@
 import math
 import operator
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -192,6 +193,86 @@ class TestSmoothPart:
     )
     def test_whole_windows(self, k, lo, hi):
         assert divisors_in_range(k, lo, hi) == [r for r in range(lo, hi + 1) if k % r == 0]
+
+    # a prime above every window: k = K * _FAR keeps the smooth part K and puts
+    # sqrt(k) above the wheel's gate, so every wide window takes the smooth route
+    _FAR = 999_999_999_989
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            16_381 * _FAR,  # a prime cofactor left after the trial division
+            16_369 * _FAR,
+            8_191 * 2**5 * 3**2 * 5,  # K = k, with a prime cofactor
+            127**2 * _FAR,  # K = p**2: at p = 127 the cofactor is p*p, not yet prime
+            2 * 3 * 127**2 * _FAR,
+            131**2 * _FAR,  # 131**2 > 2**14, so K holds 131 once
+            2**40,  # higher powers of 2 pass hi
+            3**25 * 7**10 * _FAR,  # and of 3 and 7
+            _FAR,  # K = 1
+            127 * 131 * _FAR,  # two prime factors above 128
+            16_369 * 16_381 * _FAR,
+            8_191 * 16_381,
+        ],
+    )
+    def test_factorisation_edges(self, k):
+        # hi on both sides of every tier boundary 2**j from 2**9 to _SMOOTH_MAX
+        for j in range(9, 15):
+            for hi in (2**j - 1, 2**j, 2**j + 1):
+                for lo in (2, hi // 3):
+                    expected = [r for r in range(lo, hi + 1) if k % r == 0]
+                    assert divisors_in_range(k, lo, hi) == expected, (k, lo, hi)
+
+    # smooth k, every prime factor <= 2**14 and so K = k once hi reaches its tier
+    _smooth_k = st.lists(
+        st.sampled_from([2, 3, 5, 7, 11, 13, 53, 127, 131, 199, 2_393, 8_191, 9_041, 16_381]),
+        min_size=1,
+        max_size=9,
+    ).map(math.prod)
+
+    @given(_smooth_k, st.integers(9_002, _SMOOTH_MAX - 1), st.integers(6_000, 9_000), st.none())
+    # the slowest windows of the wheel over k = K (2*3**5*5*53*9041 and
+    # 2**3*3**3*5**3*199*2393), frozen from scripts/brute_force_fixtures.py
+    @example(
+        1_164_390_390, 9_998, 8_997,
+        [1215, 1431, 1590, 2385, 2430, 2862, 4293, 4770, 7155, 8586, 9041],
+    )
+    @example(
+        12_857_589_000, 8_191, 6_691,
+        [1500, 1592, 1791, 1800, 1990, 2250, 2388, 2393, 2700, 2985, 3000, 3375, 3582,
+         3980, 4500, 4776, 4786, 4975, 5373, 5400, 5970, 6750, 7164, 7179, 7960],
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_smooth_k_on_wide_windows(self, k, hi, width, frozen):
+        lo = hi - width
+        got = divisors_in_range(k, lo, hi)
+        assert got == [r for r in range(lo, hi + 1) if k % r == 0]
+        if frozen is not None:
+            assert got == frozen
+
+    def test_point_query_replay(self):
+        # 2,000 windows drawn as the point-query benchmark draws them, n
+        # log-uniform to 10**12 and m to 10**4, kept when their scan would
+        # visit more than _WHEEL_MIN candidates below _SMOOTH_MAX
+        rng = random.Random(2024)
+
+        def log_uniform(top):
+            return max(2, int(math.exp(rng.uniform(math.log(2), math.log(top + 1)))))
+
+        kept = 0
+        while kept < 2_000:
+            n, m = log_uniform(10**12), log_uniform(10**4)
+            a1 = n % m
+            a2 = m - a1
+            k, lo, hi = abs(n - a2), a2 + 1, m - 1
+            root = math.isqrt(k)
+            if a1 <= 1 or k == 0 or hi >= _SMOOTH_MAX:
+                continue
+            if (hi - lo if hi - lo <= 2 * root else root) <= _WHEEL_MIN:
+                continue
+            kept += 1
+            expected = [r for r in range(lo, hi + 1) if k % r == 0]
+            assert divisors_in_range(k, lo, hi) == expected, (n, m)
 
 
 class TestBitset:

@@ -145,6 +145,17 @@ def check_grid_pairs():
     return pairs
 
 
+def _largest_prime(v):
+    """The largest prime factor of v > 1, by trial division."""
+    d = 2
+    while d * d <= v:
+        if v % d:
+            d += 1
+        else:
+            v //= d
+    return v
+
+
 def _is_prime(p):
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
@@ -172,6 +183,24 @@ class TestCheckGrid:
         widths = [n % m - 2 for n, m in pairs]  # hi - lo of the window (m - a1, m)
         assert any(w > 256 for w in widths) and any(0 <= w <= 256 for w in widths)
         assert {m % 2 for _, m in pairs} == {0, 1}
+
+    def test_grid_takes_the_smooth_route(self):
+        # a window of more than 256 candidates ending below 2**14 lists the
+        # divisors of K = gcd(k, lcm(1..2**j)), 2**j > hi, from K's factorisation
+        lcms = {j: math.lcm(*range(1, 2**j + 1)) for j in range(1, 15)}
+        routed = []
+        for n, m in check_grid_pairs():
+            a1 = n % m
+            a2 = m - a1
+            k, lo, hi = abs(n - a2), a2 + 1, m - 1
+            if a1 <= 1 or k == 0:
+                continue
+            root = math.isqrt(k)
+            if hi < 2**14 and (hi - lo if hi - lo <= 2 * root else root) > 256:
+                routed.append((k, math.gcd(k, lcms[hi.bit_length()])))
+        assert any(K == k for k, K in routed)  # k is its own smooth part
+        # the trial division leaves K's largest prime factor, above 128, as its cofactor
+        assert any(_largest_prime(K) > 128 and K % _largest_prime(K) ** 2 for _, K in routed)
 
     def test_reproduces_the_golden_grid(self):
         golden = json.loads((GOLDEN / "check_grid.json").read_text())
@@ -401,6 +430,14 @@ class TestClaims:
     def test_c8_beyond_its_counters_exit_3(self):
         # a 32-bit counter per n in [0, x + 1] passes 2**30 bits at x = 2**25 - 1
         proc = run_cli("claims", "--ids", "C8", "--x", str(2**25 - 1))
+        assert proc.returncode == 3
+        assert "budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_c7_beyond_its_sweep_exit_3(self):
+        # the sweep charges 2048 bits per n in [0, x]: 2**30 bits hold x < 2**19,
+        # so x = 2**19 is refused before anything is allocated
+        proc = run_cli("claims", "--ids", "C7", "--x", str(2**19), timeout=10)
         assert proc.returncode == 3
         assert "budget" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramify.arith import ResourceBudgetError
+from ramify.arith import DEFAULT_BUDGET_BITS, ResourceBudgetError
 from ramify.counting import (
+    _SWEEP_BITS_PER_N,
     _low_bands,
     build_sieve,
     count_ramifiers,
-    double_sum,
     low_band_counts,
     multi_modulus_ramifiers,
     ramifier_counts,
@@ -209,7 +210,7 @@ class TestFastCounts:
         m_lo = data.draw(st.integers(2, x))
         m_hi = data.draw(st.integers(m_lo, x))
         expected = sum(bisect_right(naive_sets_200[m], x) for m in range(m_lo, m_hi + 1))
-        assert double_sum(x, m_lo, m_hi) == expected
+        assert sum(ramifier_counts(x, m_lo, m_hi)) == expected
 
     @pytest.mark.parametrize("x, m_lo, m_hi", [(97, 3, 97), (160, 13, 40), (160, 50, 50), (151, 75, 151)])
     def test_counts_from_m_lo_above_2(self, naive_sets_200, x, m_lo, m_hi):
@@ -224,18 +225,31 @@ class TestFastCounts:
         assert ramifier_counts(10**5, m, m) == [count_ramifiers(m, 10**5).count]
 
     def test_example_sum(self):
-        assert double_sum(20, 2, 5) == 16
+        assert sum(ramifier_counts(20, 2, 5)) == 16
 
     def test_golden_value_x100(self):
         # frozen after oracle summation over m in [2, 100]
-        assert double_sum(100, 2, 100) == 3694
+        assert sum(ramifier_counts(100, 2, 100)) == 3694
 
     def test_m2_alone(self):
-        assert double_sum(2, 2, 2) == 0
+        assert sum(ramifier_counts(2, 2, 2)) == 0
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
-            double_sum(10, 5, 11)
+            ramifier_counts(10, 5, 11)
+
+    def test_budget_covers_the_traced_peak(self):
+        # the charge per n covers the peak tracemalloc measures for the sweep
+        x = 3_000
+        tracemalloc.start()
+        try:
+            ramifier_counts(x, 2, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * peak <= _SWEEP_BITS_PER_N * (x + 1)
+        with pytest.raises(ResourceBudgetError):
+            ramifier_counts(DEFAULT_BUDGET_BITS // _SWEEP_BITS_PER_N, 2, 2)
 
 
 class TestMultiModulus:
