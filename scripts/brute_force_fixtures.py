@@ -106,6 +106,9 @@ def main() -> None:
     fixtures["ramifiers_2_100"] = ramifier_set(2, 100)
     fixtures["ramifiers_4_20"] = ramifier_set(4, 20)
 
+    # Per-modulus counts at x = 240, the packed band sweep's frozen row.
+    fixtures["ramifier_counts_x240"] = [len(ramifier_set(m, 240)) for m in range(2, 241)]
+
     fixtures["count_sums"] = {
         "x=20 m=2..5": sum(len(ramifier_set(m, 20)) for m in range(2, 6)),
         "x=100 m=2..100": sum(len(ramifier_set(m, 100)) for m in range(2, 101)),

@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .arith import DEFAULT_BUDGET_BITS, ResourceBudgetError, prime_table
@@ -55,21 +55,23 @@ def _deliver(text: str, out: str | None) -> None:
 def _emit(
     args: argparse.Namespace,
     argv: list[str],
-    payload: Any,
-    text_lines: list[str],
-    csv_rows: list[list] | None,
+    payload: Callable[[], Any],
+    text_lines: Callable[[], list[str]],
+    csv_rows: Callable[[], list[list]],
 ) -> None:
+    """Print the output the format asks for; each output is built by its
+    zero-argument callable, and only the printed one is built."""
     fmt = args.format
     if getattr(args, "json", False):
         fmt = "json"
     if fmt == "json" or (args.out and fmt == "text"):
-        _deliver(_envelope_json(argv, payload), args.out)
+        _deliver(_envelope_json(argv, payload()), args.out)
     elif fmt == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows())
         _deliver(buf.getvalue().rstrip("\n"), args.out)
     else:
-        _deliver("\n".join(text_lines), args.out)
+        _deliver("\n".join(text_lines()), args.out)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -103,7 +105,7 @@ def _cmd_check(args: argparse.Namespace, argv: list[str]) -> int:
         lines.append("witness " + " ".join(f"{k}={v}" for k, v in w.items()))
     header = ["m", "n", "p1", "r", "p2"] if args.strong else ["m", "n", "a1", "r", "a2"]
     csv_rows = [header] + [list(d.values()) for d in wdicts]
-    _emit(args, argv, payload, lines, csv_rows)
+    _emit(args, argv, lambda: payload, lambda: lines, lambda: csv_rows)
     return 0 if witnesses else 1
 
 
@@ -121,11 +123,13 @@ def _cmd_scan(args: argparse.Namespace, argv: list[str]) -> int:
         "ramifiers: "
         + (f"(truncated, {summary.count} > {LIST_CAP})" if truncated else str(ns)),
     ]
-    csv_rows = None
-    if args.format == "csv":  # one row per n <= x, so built only when printed
-        csv_rows = [["n", "character"]]
-        csv_rows += [[n, 1 if sieve.bit(n) else 0] for n in range(2, args.x + 1)]
-    _emit(args, argv, payload, lines, csv_rows)
+    _emit(
+        args,
+        argv,
+        lambda: payload,
+        lambda: lines,
+        lambda: [["n", "character"]] + [[n, sieve.flags[n]] for n in range(2, args.x + 1)],
+    )
     return 0
 
 
@@ -153,20 +157,26 @@ def _cmd_claims(args: argparse.Namespace, argv: list[str]) -> int:
         if r.verdict == Verdict.FAILS_WITH_COUNTEREXAMPLE
         and CLAIMS[r.claim_id].affects_exit
     ]
-    payload = {
-        "reports": [r.to_dict() for r in reports],
-        "failing_asserted_claims": failing,
-    }
-    lines = []
-    for r in reports:
-        info = CLAIMS[r.claim_id]
-        lines.append(
-            f"{r.claim_id} {info.title} [{info.kind}]: {r.verdict.value}"
-            + (f" ({len(r.counterexamples)} counterexamples)" if r.counterexamples else "")
-        )
-    if failing:
-        lines.append(f"asserted claims failing: {', '.join(failing)}")
-    _emit(args, argv, payload, lines, report_rows(reports))
+
+    def text_lines() -> list[str]:
+        lines = []
+        for r in reports:
+            info = CLAIMS[r.claim_id]
+            lines.append(
+                f"{r.claim_id} {info.title} [{info.kind}]: {r.verdict.value}"
+                + (f" ({len(r.counterexamples)} counterexamples)" if r.counterexamples else "")
+            )
+        if failing:
+            lines.append(f"asserted claims failing: {', '.join(failing)}")
+        return lines
+
+    _emit(
+        args,
+        argv,
+        lambda: {"reports": [r.to_dict() for r in reports], "failing_asserted_claims": failing},
+        text_lines,
+        lambda: report_rows(reports),
+    )
     return 1 if failing else 0
 
 
@@ -175,49 +185,41 @@ def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
         print("--m-max must be >= 4", file=sys.stderr)
         return 2
     primes = prime_table(args.m_max)
-    rows = []
-    mismatches = 0
+    ms = range(4, args.m_max + 1, 2)
     counts = goldbach_counts(args.m_max, primes)
-    for m, partitions in zip(range(4, args.m_max + 1, 2), counts):
-        cert = admits_strong_ramifier(m, primes)
-        if bool(partitions) != (cert is not None):
-            mismatches += 1
-        rows.append(
+    certs = [admits_strong_ramifier(m, primes) for m in ms]
+    mismatches = sum(bool(p) != (c is not None) for p, c in zip(counts, certs))
+
+    def payload() -> dict[str, Any]:
+        rows = [
             {
                 "m": m,
-                "partitions": partitions,
-                "certificate": None
-                if cert is None
-                else {"n": cert.n, "p1": cert.p1, "r": cert.r, "p2": cert.p2},
+                "partitions": p,
+                "certificate": None if c is None else {"n": c.n, "p1": c.p1, "r": c.r, "p2": c.p2},
             }
-        )
-    payload = {"rows": rows, "checked": len(rows), "mismatches": mismatches}
-    lines = []
-    for row in rows:
-        cert = row["certificate"]
-        cert_text = (
-            "NONE"
-            if cert is None
-            else f"n={cert['n']} p1={cert['p1']} r={cert['r']} p2={cert['p2']}"
-        )
-        lines.append(f"m={row['m']}: {row['partitions']} partitions, {cert_text}")
-    lines.append(f"equivalence counterexamples: {mismatches}")
-    csv_rows: list[list] = [
-        ["m", "partitions", "certificate_n", "certificate_p1", "certificate_r", "certificate_p2"]
-    ]
-    for row in rows:
-        cert = row["certificate"] or {}
-        csv_rows.append(
-            [
-                row["m"],
-                row["partitions"],
-                cert.get("n", ""),
-                cert.get("p1", ""),
-                cert.get("r", ""),
-                cert.get("p2", ""),
-            ]
-        )
-    _emit(args, argv, payload, lines, csv_rows)
+            for m, p, c in zip(ms, counts, certs)
+        ]
+        return {"rows": rows, "checked": len(rows), "mismatches": mismatches}
+
+    def text_lines() -> list[str]:
+        lines = [
+            f"m={m}: {p} partitions, "
+            + ("NONE" if c is None else f"n={c.n} p1={c.p1} r={c.r} p2={c.p2}")
+            for m, p, c in zip(ms, counts, certs)
+        ]
+        lines.append(f"equivalence counterexamples: {mismatches}")
+        return lines
+
+    def csv_rows() -> list[list]:
+        header = [
+            "m", "partitions", "certificate_n", "certificate_p1", "certificate_r", "certificate_p2"
+        ]
+        return [header] + [
+            [m, p] + (["", "", "", ""] if c is None else [c.n, c.p1, c.r, c.p2])
+            for m, p, c in zip(ms, counts, certs)
+        ]
+
+    _emit(args, argv, payload, text_lines, csv_rows)
     return 1 if mismatches else 0
 
 

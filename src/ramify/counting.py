@@ -14,6 +14,7 @@ against each other.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, compress
@@ -136,13 +137,31 @@ def count_ramifiers(m: int, x: int) -> CountSummary:
 #   q >= 2 (n >= 2m):   no closed form; one sweep over the moduli answers
 #                       the window test for a whole band at once.
 #
-# The sweep visits m in ascending order and keeps M[k] = 2*L[k] + k, where
-# L[k] is the largest divisor d of k with 2 <= d < m (0 if none).  With
-# c = (q + 1)*m, the window base is k = n - a2 = 2n - c, and L[k] > a2
-# rearranges to M[k] > c, one comparison against a constant for the whole
-# band q.  Once modulus m is done, its multiples k get L[k] = m, the
-# largest divisor yet: M[m::m] = 3m, 4m, ...  Each band is then one slice
-# of M and one comparison per element, with no per-n divisor search.
+# The sweep visits m in ascending order and keeps L[k], the largest divisor
+# d of k with 2 <= d < m (0 if none), for every k <= x.  With c = (q + 1)*m,
+# the window base of n = q*m + a1 is k = n - a2 = 2n - c, and n ramifies iff
+# L[k] > a2.  Once modulus m is done, its multiples k get L[k] = m, the
+# largest divisor yet.
+#
+# L lives in two arrays, the planes: plane k % 2 holds L[k] at index k // 2.
+# The k of band q (a1 = 2..m-1) share the parity of c and step by 2, so the
+# band is a contiguous run of m - 2 indices of one plane.  Band q + 2 starts
+# m indices later in the same plane, and the two indices between belong to
+# a1 = 0 and 1, which never ramify; so the bands with q even form one run,
+# and those with q odd another.  The multiples of m in a plane are one
+# strided slice, written by one slice assignment.
+#
+# A run is tested by SIMD within a register (Lamport, "Multiple byte
+# processing with full-word instructions", CACM 18(8), 1975).  It is read as
+# one int of b-bit fields, field i holding the i-th L of the run, with the
+# guard bit G = 2**(b - 1) above x.  Within a band a1 = i + 2 and
+# a2 = m - 2 - i, so adding the ramp, whose field is G - 1 - a2 there and 0
+# between bands, sets a field's guard bit exactly where L > a2; both terms
+# are below G, so no field carries into the next.  The ramp is one slice of
+# a single ascending array and two zeros, repeated.  Masking the guard bits
+# leaves one bit per ramifier.  Arrays and ints are converted in the host's
+# byte order and at the exact length of the run, so a run and its ramp line
+# up field by field, and to_bytes gives the fields back in the run's order.
 
 
 def _low_bands(m: int, x: int) -> list[range]:
@@ -160,30 +179,68 @@ def _low_bands(m: int, x: int) -> list[range]:
     return bands
 
 
+def _field_type(x: int) -> str:
+    """The array typecode of the sweep's fields: 16 bits while the guard bit
+    2**15 exceeds x, else 32, which holds the x < 2**19 the budget admits."""
+    return "H" if x < 1 << 15 else "I"
+
+
 def _sweep(x: int, m_lo: int, m_hi: int):
-    """Yield (m, low, windows) for m = m_lo..m_hi in ascending order.
+    """Yield (m, low, runs) for m = m_lo..m_hi in ascending order.
 
-    ``low`` is ``_low_bands(m, x)``.  ``windows`` holds one (ns, c, ks)
-    triple per quotient band q >= 2, with c = (q + 1)*m: ``ns`` is the
-    range of n in the band, and ns[i] ramifies iff ks[i] > c.
+    ``low`` is ``_low_bands(m, x)``.  ``runs`` holds a (start, fields, guards)
+    triple for the quotient bands q >= 2 with q even, then one for q odd,
+    each while it has a band: field p of the run stands for
+    n = start + p + (p // m)*m, and that n ramifies iff bit p*b + b - 1 of
+    ``guards`` is set, b the width of ``_field_type(x)``; no other bit is set.
     """
-    M = list(range(x + 1))
-    for m in range(2, m_hi + 1):
-        if m >= m_lo:
-            windows = []
-            for c in range(3 * m, x + m - 1, m):  # each q >= 2 with q*m + 2 <= x
-                ns = range(c - m + 2, min(c, x + 1))
-                windows.append((ns, c, M[2 * ns.start - c : 2 * ns.stop - c : 2]))
-            yield m, _low_bands(m, x), windows
-        M[m::m] = range(3 * m, x + 2 * m + 1, m)
+    typecode = _field_type(x)
+    width = array(typecode).itemsize
+    G = 1 << (8 * width - 1)
+    order = sys.byteorder
+    ramp = array(typecode, range(G - x, G - 1))  # ramp[x - 1 - a2] = G - 1 - a2
+    gap = array(typecode, [0, 0])
+    # the guard bit of every field of a plane, and so of every run
+    guard = int.from_bytes(array(typecode, [G]) * (x // 2 + 1), order)
+    even = array(typecode, bytes(width * (x // 2 + 1)))  # L[0], L[2], ...
+    odd = array(typecode, bytes(width * ((x + 1) // 2)))  # L[1], L[3], ...
+    # L matters only to moduli that have a band q >= 2, those with 2m + 2 <= x
+    last = min(m_hi, x // 2 - 1)
+    with memoryview(even) as ev, memoryview(odd) as ov:
+        planes = (ev, ov)
+        for m in range(2, m_hi + 1):
+            if m >= m_lo:
+                runs = []
+                if 2 * m + 2 <= x:
+                    # one band of the ramp, a2 = m - 2 down to 1, and the gap
+                    period = ramp[x + 1 - m : x - 1] + gap
+                    for start in range(2 * m + 2, min(4 * m + 2, x + 1), m):  # q = 2, 3
+                        bands = (x - start) // (2 * m) + 1
+                        top = start + 2 * m * (bands - 1)  # n at the last band's start
+                        fields = m * (bands - 1) + min(m - 2, x + 1 - top)
+                        k = start - m + 2  # the window base 2n - c of n = start
+                        L = int.from_bytes(planes[k & 1][k >> 1 : (k >> 1) + fields], order)
+                        T = int.from_bytes((period * bands)[:fields], order)
+                        runs.append((start, fields, (L + T) & guard))
+                yield m, _low_bands(m, x), runs
+            if m < last:
+                if m % 2:
+                    multiples = ((even, m, m), (odd, m // 2, m))
+                else:
+                    multiples = ((even, m // 2, m // 2),)
+                for plane, first, step in multiples:
+                    count = len(range(first, len(plane), step))
+                    if count:  # an empty extended slice would resize the exported plane
+                        plane[first::step] = array(typecode, [m]) * count
 
 
-#: Bits ramifier_counts charges per n in [0, x], from what it holds at its
-#: peak: the sweep's list M, a slot and an int (40 bytes) per n, and the
-#: band windows of the moduli 2 and 3, which are alive together: 1/2 + 1/3
-#: of a window per n, each about 240 bytes for its tuple, range, bound,
-#: slice and list slot.  That is about 1,940 bits, rounded up; tracemalloc
-#: measures a peak of about 1,930 bits per n at x = 10**4 and 10**5.
+#: Bits ramifier_counts charges per n in [0, x].  The packed sweep holds two
+#: planes and the ramp, b = 16 or 32 bits per n each, a guard mask of b/2,
+#: and the two runs of one modulus with their ramp; the result list keeps a
+#: slot and an int, 288 bits, per modulus.  tracemalloc measures a peak of
+#: about 380 bits per n at x = 3,000 and 10**4.  The charge stays at 2048
+#: bits, which caps x below 2**19: a lower charge would admit C7 inputs
+#: whose O(x**2) sweep runs for hours, since no budget bounds time yet.
 _SWEEP_BITS_PER_N = 2048
 
 
@@ -193,9 +250,18 @@ def ramifier_counts(x: int, m_lo: int, m_hi: int) -> list[int]:
         raise ValueError("need 2 <= m_lo <= m_hi <= x")
     _check_budget(x, _SWEEP_BITS_PER_N * (x + 1), DEFAULT_BUDGET_BITS)
     return [
-        sum(map(len, low)) + sum(len([k for k in ks if k > c]) for _, c, ks in windows)
-        for _, low, windows in _sweep(x, m_lo, m_hi)
+        sum(map(len, low)) + sum(guards.bit_count() for _, _, guards in runs)
+        for _, low, runs in _sweep(x, m_lo, m_hi)
     ]
+
+
+#: Bits multi_modulus_ramifiers charges per pair (n, m) with n, m <= x.  Its
+#: lists hold about 0.4*x**2 moduli, each an 8-byte slot, with up to 1/8 more
+#: for over-allocation: about 29 bits per pair, since the moduli themselves
+#: are shared ints.  tracemalloc measures a peak of 29.3 bits per pair at
+#: x = 300, 28.5 at 1,000 and 27.9 at 2,000.  So the default budget holds
+#: x <= 5792, and the x near 2,500 of the counting benchmark takes a fifth.
+_MULTI_BITS_PER_PAIR = 32
 
 
 def multi_modulus_ramifiers(x: int) -> list[tuple[int, list[int]]]:
@@ -203,15 +269,22 @@ def multi_modulus_ramifiers(x: int) -> list[tuple[int, list[int]]]:
     each paired with its full ascending modulus list."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    _check_budget(x, x + 1, DEFAULT_BUDGET_BITS)
+    _check_budget(x, _MULTI_BITS_PER_PAIR * x * x, DEFAULT_BUDGET_BITS)
+    width = array(_field_type(x)).itemsize
+    shift, spread = 8 * width - 1, int.from_bytes(b"\x01" * width, "little")
     moduli: list[list[int]] = [[] for _ in range(x + 1)]
-    for m, low, windows in _sweep(x, 2, x):  # ascending m keeps each list sorted
+    for m, low, runs in _sweep(x, 2, x):  # ascending m keeps each list sorted
         for ns in low:
             for ms in moduli[ns.start : ns.stop]:
                 ms.append(m)
-        for ns, c, ks in windows:
-            for ms, k in zip(moduli[ns.start : ns.stop], ks):
-                if k > c:
+        for start, fields, guards in runs:
+            # every byte of a field holds its guard bit, so one byte per field
+            # is its flag, whichever end of the field it is
+            spread_guards = (guards >> shift) * spread
+            flags = spread_guards.to_bytes(width * fields, sys.byteorder)[::width]
+            for p in range(0, fields, m):  # the band of n = start + 2p, ...
+                n = start + 2 * p
+                for ms in compress(moduli[n : n + m - 2], flags[p : p + m - 2]):
                     ms.append(m)
     return [(n, ms) for n, ms in enumerate(moduli) if len(ms) >= 2]
 

@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from itertools import compress
 
 from .arith import PrimeTable, bitset, divisors_in_range
 from .counting import _low_bands
@@ -153,16 +153,20 @@ def strong_witnesses(n: int, m: int, primes: PrimeTable) -> list[StrongWitness]:
     return [StrongWitness(m=m, n=n, p1=a1, r=r, p2=a2) for r in _witness_moduli(n, m)]
 
 
-def _least_in_bands(
-    m: int, ok: Callable[[int, int], bool]
-) -> tuple[int, int, int, int] | None:
+def _least_in_bands(m: int, flags: bytes) -> tuple[int, int, int, int] | None:
     """(n, a1, r, a2) for the least ramifier n < 2m of modulus m whose residues
-    satisfy ok(a1, a2), with r its least inner modulus; None if there is none."""
+    a1 and a2 both have flags[a] == 1, with r its least inner modulus; None if
+    there is none.  flags must reach index m - 1.
+
+    A band lies inside one quotient q, so its residues a1 = n - q*m are one
+    slice of flags, and only the candidates that pass it test flags[a2].
+    """
     for band in _low_bands(m, 2 * m - 1):
-        for n in band:
-            a1 = n % m
+        q = band.start // m
+        for n in compress(band, flags[band.start - q * m : band.stop - q * m]):
+            a1 = n - q * m
             a2 = m - a1
-            if ok(a1, a2):
+            if flags[a2]:
                 # n = a2 (the band n = m/2) leaves k = 0, which every
                 # candidate divides, so the least one is a2 + 1
                 k = abs(n - a2)
@@ -178,20 +182,21 @@ def admits_ramifier(m: int) -> Witness | None:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    found = _least_in_bands(m, lambda a1, a2: True)
+    found = _least_in_bands(m, b"\x01" * m)
     return None if found is None else Witness(m, *found)
 
 
 def admits_strong_ramifier(m: int, primes: PrimeTable) -> StrongWitness | None:
     """Strong witness with the least ramifying n for modulus m, if any.
 
-    Every strong split is realised below 2m, so the bands suffice here too.
+    Every strong split is realised below 2m, so the bands suffice here too;
+    the prime flags are the residues they admit.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if primes.limit < m:
         raise ValueError(f"prime table reaches {primes.limit}, need >= {m}")
-    found = _least_in_bands(m, lambda a1, a2: primes.is_prime(a1) and primes.is_prime(a2))
+    found = _least_in_bands(m, primes.flags)
     return None if found is None else StrongWitness(m, *found)
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 from bisect import bisect_right
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from ramify.arith import DEFAULT_BUDGET_BITS, ResourceBudgetError
 from ramify.counting import (
+    _MULTI_BITS_PER_PAIR,
     _SWEEP_BITS_PER_N,
+    _field_type,
     _low_bands,
     build_sieve,
     count_ramifiers,
@@ -69,6 +72,53 @@ def pairwise_flags(progressions, x):
             flags[n] = 1
             n += period
     return bytes(flags)
+
+
+def list_sweep(x, m_lo, m_hi):
+    """The sweep before its bands were packed: one list M[k] = 2*L[k] + k, so
+    that n of band q ramifies iff M[2n - c] > c, c = (q + 1)*m, compared one n
+    at a time.  Yields (m, ramifier ranges below 2m, ramifiers from 2m)."""
+    M = list(range(x + 1))
+    for m in range(2, m_hi + 1):
+        if m >= m_lo:
+            high = []
+            for c in range(3 * m, x + m - 1, m):  # each q >= 2 with q*m + 2 <= x
+                ns = range(c - m + 2, min(c, x + 1))
+                ks = M[2 * ns.start - c : 2 * ns.stop - c : 2]
+                high += [n for n, k in zip(ns, ks) if k > c]
+            yield m, _low_bands(m, x), high
+        M[m::m] = range(3 * m, x + 2 * m + 1, m)
+
+
+def list_sweep_counts(x, m_lo, m_hi):
+    return [sum(map(len, low)) + len(high) for _, low, high in list_sweep(x, m_lo, m_hi)]
+
+
+def list_sweep_multi(x):
+    moduli = [[] for _ in range(x + 1)]
+    for m, low, high in list_sweep(x, 2, x):
+        for n in [n for ns in low for n in ns] + high:
+            moduli[n].append(m)
+    return [(n, ms) for n, ms in enumerate(moduli) if len(ms) >= 2]
+
+
+#: ramifier_counts(240, 2, 240), frozen from the naive loop of
+#: scripts/brute_force_fixtures.py ("ramifier_counts_x240").
+COUNTS_X240 = [
+    0, 40, 80, 68, 96, 80, 110, 78, 106, 87, 117, 86, 113, 82, 117, 95, 113, 95, 117, 84,
+    116, 92, 124, 88, 114, 94, 118, 95, 121, 98, 121, 90, 120, 94, 123, 98, 119, 94, 125,
+    103, 121, 99, 121, 96, 121, 99, 128, 103, 126, 99, 123, 99, 122, 101, 123, 102, 122,
+    106, 127, 107, 125, 104, 125, 101, 121, 100, 121, 96, 119, 96, 119, 96, 119, 95, 121,
+    99, 124, 102, 127, 104, 126, 102, 124, 101, 124, 99, 122, 98, 121, 99, 120, 97, 119, 98,
+    118, 99, 117, 98, 114, 100, 111, 102, 109, 103, 107, 106, 106, 108, 109, 109, 111, 112,
+    112, 114, 115, 115, 117, 118, 118, 119, 118, 116, 116, 115, 113, 113, 112, 110, 110,
+    109, 107, 107, 106, 104, 104, 103, 101, 101, 100, 98, 98, 97, 95, 95, 94, 92, 92, 91,
+    89, 89, 88, 86, 86, 85, 83, 83, 82, 80, 80, 79, 78, 77, 77, 74, 75, 73, 72, 71, 71, 68,
+    69, 67, 66, 65, 65, 62, 63, 61, 60, 60, 61, 60, 62, 61, 62, 62, 63, 62, 64, 63, 64, 64,
+    65, 64, 66, 65, 66, 66, 67, 66, 68, 67, 68, 68, 69, 68, 70, 69, 70, 70, 71, 70, 72, 71,
+    72, 72, 73, 72, 74, 73, 74, 74, 75, 74, 76, 75, 76, 76, 77, 76, 78, 77, 78, 78, 79, 78,
+    80, 79, 80,
+]
 
 
 class TestCrtSolve:
@@ -252,6 +302,55 @@ class TestFastCounts:
             ramifier_counts(DEFAULT_BUDGET_BITS // _SWEEP_BITS_PER_N, 2, 2)
 
 
+class TestPackedSweep:
+    """The packed band tests against the list sweep they replaced, the naive
+    definition and the sieve route."""
+
+    def test_counts_match_list_sweep(self, naive_sets_200):
+        for x in range(2, 301):
+            expected = list_sweep_counts(x, 2, x)
+            if x <= 200:
+                assert expected == [bisect_right(naive_sets_200[m], x) for m in range(2, x + 1)]
+            for m_lo in {2, 3, x // 3, x // 2, x}:
+                if 2 <= m_lo <= x:
+                    assert ramifier_counts(x, m_lo, x) == expected[m_lo - 2 :], (x, m_lo)
+
+    def test_multi_matches_list_sweep(self, naive_sets_200):
+        # each n's moduli up to 200 off the naive sets; a prefix serves smaller x
+        hits = {m: set(ns) for m, ns in naive_sets_200.items()}
+        naive_moduli = {n: [m for m in range(2, 201) if n in hits[m]] for n in range(2, 201)}
+        for x in range(2, 301):
+            found = multi_modulus_ramifiers(x)
+            assert found == list_sweep_multi(x), x
+            if x <= 200:
+                expected = [(n, [m for m in naive_moduli[n] if m <= x]) for n in range(2, x + 1)]
+                assert found == [(n, ms) for n, ms in expected if len(ms) >= 2], x
+
+    def test_frozen_counts_x240(self):
+        assert ramifier_counts(240, 2, 240) == COUNTS_X240
+        assert ramifier_counts(240, 120, 240) == COUNTS_X240[118:]
+
+    def test_field_width_switch(self):
+        # the guard bit 2**(b - 1) must exceed x
+        assert [array(_field_type(x)).itemsize for x in (2, 2**15 - 1, 2**15, 2**19)] == [2, 2, 4, 4]
+
+    @pytest.mark.parametrize(
+        "x, m, last",
+        [
+            (2**15 - 1, 3, 1), (2**15 - 1, 4, 2), (2**15 - 1, 5, 1), (2**15 - 1, 127, 125),
+            (2**15 - 1, 500, 266), (2**15 - 1, 997, 862),
+            (2**15, 3, 1), (2**15, 4, 2), (2**15, 43, 1), (2**15, 99, 97), (2**15, 254, 1),
+            (2**15, 500, 267), (2**15, 993, 991),
+            (10**5, 3, 1), (10**5, 4, 2), (10**5, 7, 4), (10**5, 625, 623), (10**5, 953, 887),
+        ],
+    )
+    def test_single_cell_matches_sieve_at_the_width_switch(self, x, m, last):
+        # the last band of m holds `last` of its m - 2 residues: one, fewer
+        # than m - 2, or all of them
+        assert min(m - 2, (x - 2) % m + 1) == last
+        assert ramifier_counts(x, m, m) == [count_ramifiers(m, x).count]
+
+
 class TestMultiModulus:
     def test_x7(self):
         assert multi_modulus_ramifiers(7) == [
@@ -274,6 +373,27 @@ class TestMultiModulus:
     def test_matches_naive_x137(self):
         # beyond the drawn range; the naive oracle alone would cross the deadline
         assert multi_modulus_ramifiers(137) == naive_multi(137)
+
+
+class TestMultiModulusBudget:
+    def test_budget_covers_the_traced_peak(self):
+        # the charge per pair (n, m) covers the peak tracemalloc measures
+        for x in (300, 1_000):
+            tracemalloc.start()
+            try:
+                multi_modulus_ramifiers(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 8 * peak <= _MULTI_BITS_PER_PAIR * x * x, x
+
+    def test_first_refused_x(self):
+        # 32 bits per pair: 2**30 bits hold x = 5792 and refuse x = 5793, while
+        # the counting benchmark's x <= 2530 takes a fifth of the budget
+        assert _MULTI_BITS_PER_PAIR * 5792**2 <= DEFAULT_BUDGET_BITS
+        assert _MULTI_BITS_PER_PAIR * 2530**2 < DEFAULT_BUDGET_BITS // 4
+        with pytest.raises(ResourceBudgetError):
+            multi_modulus_ramifiers(5793)
 
 
 class TestLowBands:

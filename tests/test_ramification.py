@@ -348,6 +348,13 @@ class TestLeastInBands:
             sw = admits_strong_ramifier(m, primes)
             assert (sw and (sw.n, sw.p1, sw.r, sw.p2)) == list_route_least(m, strong), m
 
+    def test_goldbach_certificates_match_list_route(self, primes_10k):
+        # the flag walk over the prime table, on every even m of goldbach --m-max 10000
+        strong = lambda a1, a2: primes_10k.flags[a1] and primes_10k.flags[a2]  # noqa: E731
+        for m in range(4, 10_001, 2):
+            sw = admits_strong_ramifier(m, primes_10k)
+            assert (sw and (sw.n, sw.p1, sw.r, sw.p2)) == list_route_least(m, strong), m
+
 
 class TestAdmitsStrongRamifier:
     @pytest.mark.parametrize(
