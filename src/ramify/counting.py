@@ -3,12 +3,12 @@ the per-modulus counts behind the double count, and multi-modulus scans.
 
 Two independent routes compute the same sets.  The sieve marks, for every
 residue split a1 + a2 = m and inner modulus r, the arithmetic progression
-of solutions of the congruence pair, solving the CRT once per r and
-writing each progression as one slice of a byte array; it shares nothing
-with the fast counters, which instead classify each n by its quotient
-against m, with closed forms below 2m and one ascending sweep over the
-moduli for the rest.  The test suite holds the two routes bit-for-bit
-against each other.
+of solutions of the congruence pair, finding each progression's least
+member from its quotient by m and writing the progression as one slice of
+a byte array; it shares nothing with the fast counters, which instead
+classify each n by its quotient against m, with closed forms below 2m and
+one ascending sweep over the moduli for the rest.  The test suite holds
+the two routes bit-for-bit against each other.
 """
 
 from __future__ import annotations
@@ -60,14 +60,15 @@ class CountSummary:
 def build_sieve(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> RamifierSieve:
     """Mark every ramifier n in [2, x] for modulus m by progression marking.
 
-    n ramifies iff n = a1 (mod m) and n = a2 (mod r) for some split
-    a1 + a2 = m and inner modulus r in (a2, m).  Per r, with g = gcd(m, r),
-    the pair is solvable iff g divides a1 - a2 = m - 2*a2, that is iff
-    g / gcd(g, 2) divides a2, and its solutions are the progression
-    n0 + k*lcm(m, r) of the two-modulus CRT; g, the period and the inverse
-    of m/g mod r/g are computed once per r.  Each progression is one slice
-    write into the byte of n, and the sieve keeps those bytes, which is
-    why the budget charges 8 bits per n.
+    n ramifies iff n = m - a2 (mod m) and n = a2 (mod r) for some r in [2, m)
+    and a2 in [1, r).  The least such n is c - a2 with c = m*(1 + t),
+    0 <= t < r/gcd(m, r), and 2*a2 = c (mod r), so per r the sieve walks the
+    quotients c, not the residues: a2 is c*(r + 1)/2 mod r for odd r, and for
+    even r and c it is c/2 mod r/2 or that plus r/2.  As n > m - r, only
+    r > m - x can mark an n <= x, and the walk takes at most x + min(m, x)
+    steps.  Each progression, period lcm(m, r), is one slice write into a
+    byte per n (one byte when the period exceeds x), which is why the budget
+    charges 8 bits per n.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -76,31 +77,24 @@ def build_sieve(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> Ra
     _check_budget(x, 8 * (x + 1), budget_bits)
     flags = bytearray(x + 1)
     ones = memoryview(b"\x01" * (x // m + 1))  # every period is a multiple of m
-    for r in range(2, m):
-        g = math.gcd(m, r)
-        r_g = r // g
-        period = m * r_g
-        inv = pow(m // g, -1, r_g)
-        step = g // math.gcd(g, 2)
-        # a2 < r < m keeps a1, and so n0, >= 2; n0 >= a1 = m - a2, so only
-        # a2 >= m - x can mark an n <= x
-        first = max(step, -(-(m - x) // step) * step)
-        for a2 in range(first, r, step):
-            a1 = m - a2
-            n0 = a1 + m * ((a2 - a1) // g * inv % r_g)
-            if n0 <= x:
-                flags[n0::period] = ones[: (x - n0) // period + 1]
+    for r in range(max(2, m - x + 1), m):
+        period = m * r // math.gcd(m, r)
+        stop = min(period + 1, x + r)  # c <= period, and c - a2 <= x needs c < x + r
+        if r % 2:
+            h = (r + 1) // 2  # 2*h = 1 (mod r)
+            starts = [c - a2 for c in range(m, stop, m) if (a2 := c * h % r) and c - a2 <= x]
+        else:
+            h = r // 2
+            cs = range(math.lcm(m, 2), stop, math.lcm(m, 2))
+            starts = [c - a2 for c in cs if (a2 := c // 2 % h) and c - a2 <= x]
+            starts += [n for c in cs if (n := c - c // 2 % h - h) <= x]
+        if period > x:
+            for n in starts:
+                flags[n] = 1
+        else:
+            for n in starts:
+                flags[n::period] = ones[: (x - n) // period + 1]
     return RamifierSieve(m=m, x=x, flags=bytes(flags))
-
-
-def upper_main_term(m: int, x: int) -> float:
-    """(1 - 1/m) * x - log x / log m, the claimed ceiling with O(1) dropped."""
-    return (1 - 1 / m) * x - math.log(x) / math.log(m)
-
-
-def lower_main_term(m: int, x: int) -> float:
-    """(x^2 - x*m) / m^2, the claimed floor with its O(1) dropped."""
-    return (x * x - x * m) / (m * m)
 
 
 def summarize_sieve(sieve: RamifierSieve) -> CountSummary:
@@ -112,8 +106,8 @@ def summarize_sieve(sieve: RamifierSieve) -> CountSummary:
         m=m,
         x=x,
         count=flags.count(1),
-        upper_main=upper_main_term(m, x),
-        lower_main=lower_main_term(m, x),
+        upper_main=(1 - 1 / m) * x - math.log(x) / math.log(m),  # the claimed ceiling
+        lower_main=(x * x - x * m) / (m * m),  # the claimed floor, both with O(1) dropped
         radius=radius,
         has_ramifiers=lowest >= 0,
     )

@@ -280,11 +280,27 @@ class TestScan:
         assert run_cli("scan", "--m", "1", "--x", "10").returncode == 2
 
     def test_large_modulus_small_x(self):
-        # only splits with a2 >= m - x can mark an n <= x, so this is O(m), not O(m**2)
+        # only the inner moduli r > m - x can mark an n <= x: nine of them, not m - 2
         proc = run_cli("scan", "--m", "30000", "--x", "10", "--format", "json")
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
         assert payload_of(proc)["ramifiers"] == []
+
+    def test_huge_modulus_small_x(self):
+        # only the inner moduli r > m - x can mark an n <= x: nine of them here
+        proc = run_cli("scan", "--m", str(10**12), "--x", "10", "--format", "json")
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert payload_of(proc)["ramifiers"] == []
+
+    def test_x_equal_to_a_large_modulus(self):
+        # x + min(m, x) steps; below 2m every ramifier lies in a closed-form band
+        proc = run_cli("scan", "--m", "10000", "--x", "10000", "--format", "json")
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        payload = payload_of(proc)
+        assert payload["ramifiers"] == [5000, *range(6667, 10000)]
+        assert payload["summary"]["count"] == 3334
 
 
 class TestClaims:

@@ -20,6 +20,7 @@ from ramify.counting import (
     ramifier_counts,
     threshold,
 )
+from ramify.ramification import character
 
 
 def naive_is_ramifier(n, m):
@@ -52,7 +53,8 @@ def crt_solve(a1, m, a2, r):
 
 def pairwise_progressions(m):
     """(start, period) of every solvable (a1, r) pair, one crt_solve per pair:
-    the route build_sieve used before it solved the CRT once per r."""
+    an independent route to build_sieve, which walks each r's progressions
+    by the quotient of their least member."""
     out = []
     for a1 in range(1, m):
         a2 = m - a1
@@ -191,16 +193,51 @@ class TestBuildSieve:
         assert sieve.flags == bytes(n in hits for n in range(x + 1))
 
     def test_matches_pairwise_route(self):
-        for m in range(2, 200):
-            progressions = pairwise_progressions(m)
-            for x in (2, 3, 600, 601, 607):
-                assert build_sieve(m, x).flags == pairwise_flags(progressions, x), (m, x)
+        # x around m, where the first inner moduli r <= m - x drop out, and
+        # around the periods of r = m - 1 and m - 2, where a progression's
+        # first repeat enters [0, x]; the flags at x are a prefix of those at
+        # a larger x, so each m marks its progressions once
+        for m in range(2, 260):
+            xs = {2, 3, 600, 601, 607, m // 2, 2 * m // 3, m - 1, m, m + 1, 2 * m - 1}
+            for r in (m - 1, m - 2):
+                if r >= 2:
+                    period = m * r // math.gcd(m, r)
+                    xs |= {period - 1, period, period + 1}
+            xs = sorted(x for x in xs if x >= 2)
+            expected = pairwise_flags(pairwise_progressions(m), xs[-1])
+            for x in xs:
+                assert build_sieve(m, x).flags == expected[: x + 1], (m, x)
 
-    @pytest.mark.parametrize("m", [3, 20, 80, 200, 450, 950])
+    @pytest.mark.parametrize("m", [3, 20, 80, 200, 450, 950, 953, 997, 1000])
     def test_matches_pairwise_route_at_1e5(self, m):
-        # moduli from every band the counting benchmark draws from
+        # moduli from every band the counting benchmark draws from; 953 and
+        # 997 are prime, 1000 = 2**3 * 5**3 has many even inner moduli
         expected = pairwise_flags(pairwise_progressions(m), 10**5)
         assert build_sieve(m, 10**5).flags == expected
+
+    @pytest.mark.parametrize("m", [10**5 + 3, 2**17, 3 * 10**5])
+    def test_matches_character_near_x_for_large_moduli(self, m):
+        # the last 700 n below, just past and well past m
+        for x in (m // 2, 2 * m // 3 + 5, m + 500):
+            flags = build_sieve(m, x).flags
+            assert list(flags[-700:]) == [character(n, m) for n in range(x - 699, x + 1)], x
+
+    #: count_ramifiers(m, 10**5) as (count, radius, has_ramifiers), frozen
+    #: from the sieve that walked the split residues a2 instead of the quotients
+    COUNTS_1E5 = {
+        23: (38440, 99977, True),
+        77: (37371, 99922, True),
+        211: (34899, 99788, True),
+        457: (33056, 99541, True),
+        953: (35820, 99047, True),
+        997: (35890, 99001, True),
+        1000: (44942, 98999, True),
+    }
+
+    @pytest.mark.parametrize("m", sorted(COUNTS_1E5))
+    def test_frozen_counts_at_1e5(self, m):
+        s = count_ramifiers(m, 10**5)
+        assert (s.count, s.radius, s.has_ramifiers) == self.COUNTS_1E5[m]
 
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
