@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ramify import arith
 from ramify.arith import (
     _SMOOTH_MAX,
-    _WHEEL_MIN,
+    _SMOOTH_MIN,
     _smooth_lcm,
     DEFAULT_BUDGET_BITS,
     ResourceBudgetError,
@@ -89,26 +90,25 @@ class TestDivisorsInRange:
         expected = [r for r in range(lo, hi + 1) if k == 0 or k % r == 0]
         assert divisors_in_range(k, lo, hi) == expected
 
-    # k up to 10**12, and multiples of 2, 3, 5 and 30, whose wheels are
-    # narrower (W = 15, 10, 6 and 1)
-    _wheel_k = st.integers(0, 10**12) | st.builds(
+    # k up to 10**12, and multiples of 2, 3, 5 and 30 as edge cases
+    _gate_k = st.integers(0, 10**12) | st.builds(
         operator.mul, st.integers(0, 10**12 // 30), st.sampled_from([2, 3, 5, 30])
     )
-    # window widths hi - lo on both sides of the wheel's gate
-    _width = st.integers(0, 10**4) | st.integers(_WHEEL_MIN - 2, _WHEEL_MIN + 2)
+    # window widths hi - lo on both sides of the 256-candidate gate
+    _width = st.integers(0, 10**4) | st.integers(_SMOOTH_MIN - 2, _SMOOTH_MIN + 2)
 
-    @given(_wheel_k, st.integers(2, 10**6), _width)
-    @example(10**12, 2, 10**4)  # W = 1: 10**12 is a multiple of 30
-    @example(7 * 11 * 13 * 10**6 + 1, 9_000, _WHEEL_MIN + 1)
+    @given(_gate_k, st.integers(2, 10**6), _width)
+    @example(10**12, 2, 10**4)  # a multiple of 30
+    @example(7 * 11 * 13 * 10**6 + 1, 9_000, _SMOOTH_MIN + 1)
     @example(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 300, 9_000)
     @settings(max_examples=300, deadline=None)
-    def test_window_scan_across_the_wheel(self, k, lo, width):
+    def test_window_scan_across_the_gate(self, k, lo, width):
         hi = lo + width
         expected = [r for r in range(lo, hi + 1) if k == 0 or k % r == 0]
         assert divisors_in_range(k, lo, hi) == expected
 
     @given(
-        st.integers((_WHEEL_MIN + 2) ** 2, 2_000**2),
+        st.integers((_SMOOTH_MIN + 2) ** 2, 2_000**2),
         st.sampled_from([1, 2, 3, 5, 30]),
         st.integers(2, 10**4),
         st.integers(1, 10**4),
@@ -117,13 +117,36 @@ class TestDivisorsInRange:
     @example(600**2, 1, 2, 1)  # the root 600 lies in the window once
     @example(70_001, 1, 2, 70_000)  # the cofactor of d = 1, k itself, lies in the window
     @settings(max_examples=200, deadline=None)
-    def test_divisor_pairs_across_the_wheel(self, base, mult, lo, extra):
+    def test_divisor_pairs_across_the_gate(self, base, mult, lo, extra):
         # a window wider than 2*sqrt(k) takes the divisor-pair branch, and
-        # sqrt(k) above the gate runs the wheel over the pairs' d <= sqrt(k)
+        # sqrt(k) above the gate visits more than 256 pairs' d <= sqrt(k)
         k = base * mult
         hi = lo + 2 * math.isqrt(k) + extra
         expected = [r for r in range(lo, hi + 1) if k % r == 0]
         assert divisors_in_range(k, lo, hi) == expected
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_scan_cap(self, monkeypatch, over):
+        cap = 1_000
+        monkeypatch.setattr(arith, "_SCAN_MAX", cap)
+        top = cap + over
+        capped = [
+            (0, 2, top + 1),  # k = 0 lists the window's hi - lo + 1 candidates
+            (10**12 + 1, _SMOOTH_MAX, _SMOOTH_MAX + top - 1),  # a window scan
+            (top**2, 2, 10**9),  # a divisor-pair scan visits sqrt(k) candidates
+        ]
+        for k, lo, hi in capped:
+            if over:
+                with pytest.raises(ResourceBudgetError, match="candidates"):
+                    divisors_in_range(k, lo, hi)
+            else:
+                got = divisors_in_range(k, lo, hi)
+                assert got == [r for r in range(lo, min(hi, k or hi) + 1) if k % r == 0]
+        # the smooth route below _SMOOTH_MAX scans nothing, so the cap never applies
+        k = 2**10 * 3**6 * 999_999_999_989
+        assert divisors_in_range(k, 2, 5 * cap) == [
+            r for r in range(2, 5 * cap + 1) if k % r == 0
+        ]
 
 
 def _smooth(a, b, c, d):
@@ -176,8 +199,8 @@ class TestSmoothPart:
     def test_matches_naive_loop(self, k, hi, data):
         # K, the part of k the scan sees: gcd(k, lcm(1..2**j)) with 2**j > hi
         smooth = math.gcd(k, _smooth_lcm(hi.bit_length())) if hi < _SMOOTH_MAX else k
-        # widths hi - lo on both sides of the wheel's gate and of 2*sqrt(K)
-        edges = st.sampled_from([_WHEEL_MIN, 2 * math.isqrt(smooth)])
+        # widths hi - lo on both sides of the 256-candidate gate and of 2*sqrt(K)
+        edges = st.sampled_from([_SMOOTH_MIN, 2 * math.isqrt(smooth)])
         width = data.draw(edges.flatmap(lambda e: st.integers(e - 2, e + 2)) | st.integers(0, hi))
         lo = hi - min(max(width, 0), hi - 2)
         assert divisors_in_range(k, lo, hi) == [r for r in range(lo, hi + 1) if k % r == 0]
@@ -195,7 +218,7 @@ class TestSmoothPart:
         assert divisors_in_range(k, lo, hi) == [r for r in range(lo, hi + 1) if k % r == 0]
 
     # a prime above every window: k = K * _FAR keeps the smooth part K and puts
-    # sqrt(k) above the wheel's gate, so every wide window takes the smooth route
+    # sqrt(k) above the 256-candidate gate, so every wide window takes the smooth route
     _FAR = 999_999_999_989
 
     @pytest.mark.parametrize(
@@ -231,8 +254,8 @@ class TestSmoothPart:
     ).map(math.prod)
 
     @given(_smooth_k, st.integers(9_002, _SMOOTH_MAX - 1), st.integers(6_000, 9_000), st.none())
-    # the slowest windows of the wheel over k = K (2*3**5*5*53*9041 and
-    # 2**3*3**3*5**3*199*2393), frozen from scripts/brute_force_fixtures.py
+    # wide windows over k = K (2*3**5*5*53*9041 and 2**3*3**3*5**3*199*2393),
+    # frozen from scripts/brute_force_fixtures.py
     @example(
         1_164_390_390, 9_998, 8_997,
         [1215, 1431, 1590, 2385, 2430, 2862, 4293, 4770, 7155, 8586, 9041],
@@ -253,7 +276,7 @@ class TestSmoothPart:
     def test_point_query_replay(self):
         # 2,000 windows drawn as the point-query benchmark draws them, n
         # log-uniform to 10**12 and m to 10**4, kept when their scan would
-        # visit more than _WHEEL_MIN candidates below _SMOOTH_MAX
+        # visit more than _SMOOTH_MIN candidates below _SMOOTH_MAX
         rng = random.Random(2024)
 
         def log_uniform(top):
@@ -268,7 +291,7 @@ class TestSmoothPart:
             root = math.isqrt(k)
             if a1 <= 1 or k == 0 or hi >= _SMOOTH_MAX:
                 continue
-            if (hi - lo if hi - lo <= 2 * root else root) <= _WHEEL_MIN:
+            if (hi - lo if hi - lo <= 2 * root else root) <= _SMOOTH_MIN:
                 continue
             kept += 1
             expected = [r for r in range(lo, hi + 1) if k % r == 0]

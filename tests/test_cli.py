@@ -115,6 +115,42 @@ class TestCheck:
         assert payload["witnesses"] == [{"m": 8, "n": 19, "p1": 3, "r": 7, "p2": 5}]
         assert payload["is_ramifier"] is True
 
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            (665_880_118_035, 355_088),  # window scan, prime residues
+            (167_279_807_974, 355_948),  # window scan, six witnesses
+            (677_239, 716_658),  # divisor-pair scan, prime residues
+            (2_456_026, 831_368),  # divisor-pair scan, four witnesses
+            (8_209, 16_418),  # n = m/2: every r in the window divides k = 0
+            (477_110_510_428, 55_702),  # window scan, no witness
+            (393_996, 626_236),  # divisor-pair scan, no witness
+        ],
+    )
+    def test_strong_json_above_the_smooth_tier(self, n, m):
+        # windows reaching 2**14 with more than 256 candidates take the plain scan
+        proc = run_cli("check", str(n), str(m), "--strong", "--json")
+        payload = payload_of(proc)
+        expected = [r for r in range(2, m) if n % r == m - n % m]
+        assert payload["all_indices"] == expected
+        a1 = n % m
+        strong = _is_prime(a1) and _is_prime(m - a1)
+        assert [w["r"] for w in payload["witnesses"]] == (expected if strong else [])
+        assert proc.returncode == (0 if strong and expected else 1)
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            ("999999999999999997", "999999999"),  # a scan of about 10**9 candidates
+            ("1000000000", "2000000000"),  # n = m/2: a list of 10**9 - 1 witnesses
+        ],
+    )
+    def test_scan_cap_exit_3(self, n, m):
+        proc = run_cli("check", n, m)
+        assert proc.returncode == 3
+        assert "resource budget exceeded" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 def check_grid_pairs():
     """About 200 (n, m) pairs for the `ramify check --strong` golden grid.
@@ -177,7 +213,7 @@ def check_grid_text():
 
 
 class TestCheckGrid:
-    def test_grid_covers_both_sides_of_the_wheel(self):
+    def test_grid_covers_both_sides_of_the_gate(self):
         pairs = check_grid_pairs()
         assert 190 <= len(pairs) <= 230
         widths = [n % m - 2 for n, m in pairs]  # hi - lo of the window (m - a1, m)
