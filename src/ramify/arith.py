@@ -16,8 +16,8 @@ DEFAULT_BUDGET_BITS = 1 << 30
 
 
 class ResourceBudgetError(Exception):
-    """A sieve or table would exceed the configured memory budget, or a
-    divisor window would list or scan more than _SCAN_MAX candidates."""
+    """A sieve or table would exceed its memory budget, or divisors_in_range
+    would list or scan more than _SCAN_MAX candidates, as it counts them."""
 
 
 def _check_budget(x: int, bits: int, budget_bits: int) -> None:
@@ -67,8 +67,8 @@ def prime_table(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, flags=bytes(flags))
 
 
-#: Scans of at most this many candidates stay one plain comprehension; wider
-#: ones with hi below _SMOOTH_MAX list the divisors of their smooth part.
+#: Scans of at most this many candidates run as they are; longer ones with hi
+#: below _SMOOTH_MAX list the divisors of the smooth part of k instead.
 _SMOOTH_MIN = 256
 
 #: The most candidates one call lists or scans: about 1.4 s of trial division
@@ -143,21 +143,22 @@ def _smooth_divisors(K: int, lo: int, hi: int) -> list[int]:
 def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
     """Ascending divisors of k inside [lo, hi]; every r >= lo divides 0.
 
-    A scan visits whichever is shorter: the window itself or the divisor
-    pairs d <= sqrt(k).  Four routes, by k, that length and hi:
+    A divisor of k > 0 is a d <= sqrt(k) or the cofactor k // d of one, so
+    the scan visits the d in [a, b], a = min(lo, ceil(k/hi)) and
+    b = min(hi, k // lo, isqrt(k)).  It answers the hits d >= lo, then the
+    cofactors above sqrt(k) that lie in the window, descending in d and so
+    ascending.  The candidate count b - a + 1 picks one of three routes:
 
     - k = 0: the whole window;
-    - at most _SMOOTH_MIN candidates: one plain comprehension;
-    - more, with hi < _SMOOTH_MAX: no scan.  Every r <= hi divides
-      lcm(1, ..., 2**j) for the tier 2**j > hi of _smooth_lcm, so r divides
-      k exactly when it divides the smooth part K = gcd(k, lcm(1, ..., 2**j)),
-      and _smooth_divisors lists K's divisors up to hi from its
-      factorisation;
-    - more, with hi >= _SMOOTH_MAX: the plain scan of the window or of the
-      pairs, O(min(hi - lo, sqrt(k))).
+    - more than _SMOOTH_MIN candidates with hi < _SMOOTH_MAX: no scan.
+      Every r <= hi divides lcm(1, ..., 2**j) for the tier 2**j > hi of
+      _smooth_lcm, so r divides k exactly when it divides the smooth part
+      K = gcd(k, lcm(1, ..., 2**j)), and _smooth_divisors lists K's
+      divisors up to hi from its factorisation;
+    - otherwise the scan of [a, b].
 
-    The k = 0 list and the scans above _SMOOTH_MAX raise ResourceBudgetError
-    beyond _SCAN_MAX candidates; no other route can reach that many.
+    The k = 0 list and the scan raise ResourceBudgetError beyond _SCAN_MAX
+    candidates; the smooth route never reaches that many.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -169,21 +170,19 @@ def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
         _check_scan(hi - lo + 1, lo, hi)
         return list(range(lo, hi + 1))
     root = math.isqrt(k)
-    # the scan visits the window, or the pairs d <= sqrt(k) when that is shorter
-    window = hi - lo <= 2 * root
-    if (hi - lo if window else root) > _SMOOTH_MIN:
+    if hi <= root:
+        a, b = lo, hi  # a window below sqrt(k) holds no cofactor
+    else:
+        c = -(-k // hi)  # the least d whose cofactor k // d is at most hi
+        # min(lo, c), and min(k // lo, root), which is root when lo <= root,
+        # spelled out because a call to min() costs more than a small scan
+        a, b = (lo if lo < c else c), (root if lo <= root else k // lo)
+    count = b - a + 1
+    if count > _SMOOTH_MIN:
         if hi < _SMOOTH_MAX:
             return _smooth_divisors(math.gcd(k, _smooth_lcm(hi.bit_length())), lo, hi)
-        _check_scan(hi - lo + 1 if window else root, lo, hi)
-    if window:
-        return [r for r in range(lo, hi + 1) if k % r == 0]
-    out = []
-    for d in range(1, root + 1):
-        if k % d == 0:
-            if lo <= d <= hi:
-                out.append(d)
-            q = k // d
-            if q != d and lo <= q <= hi:
-                out.append(q)
-    out.sort()
-    return out
+        _check_scan(count, lo, hi)
+    hits = [d for d in range(a, b + 1) if k % d == 0]
+    if hi <= root or not hits:
+        return hits
+    return [d for d in hits if d >= lo] + [k // d for d in reversed(hits) if d >= c and d * d < k]

@@ -255,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget-bits", type=int, default=DEFAULT_BUDGET_BITS, metavar="N",
         help="sieve memory budget in bits; the sieve charges 8 bits per n <= x",
     )
-    p.set_defaults(func=_cmd_scan, json=False)
+    p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("claims", parents=[common], help="run the claim registry")
     p.add_argument(
@@ -264,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m-max", type=int, default=20, metavar="N")
     p.add_argument("--x", type=int, default=500, metavar="N")
-    p.set_defaults(func=_cmd_claims, json=False)
+    p.set_defaults(func=_cmd_claims)
 
     p = sub.add_parser("goldbach", parents=[common], help="even-modulus sweep")
     p.add_argument("--m-max", type=int, required=True, metavar="N")

@@ -118,8 +118,9 @@ class TestDivisorsInRange:
     @example(70_001, 1, 2, 70_000)  # the cofactor of d = 1, k itself, lies in the window
     @settings(max_examples=200, deadline=None)
     def test_divisor_pairs_across_the_gate(self, base, mult, lo, extra):
-        # a window wider than 2*sqrt(k) takes the divisor-pair branch, and
-        # sqrt(k) above the gate visits more than 256 pairs' d <= sqrt(k)
+        # a window wider than 2*sqrt(k) reaches above sqrt(k), so the scan also
+        # visits the d <= sqrt(k) whose cofactors lie in it, and sqrt(k) above
+        # the gate lets those be more than 256 candidates
         k = base * mult
         hi = lo + 2 * math.isqrt(k) + extra
         expected = [r for r in range(lo, hi + 1) if k % r == 0]
@@ -132,8 +133,8 @@ class TestDivisorsInRange:
         top = cap + over
         capped = [
             (0, 2, top + 1),  # k = 0 lists the window's hi - lo + 1 candidates
-            (10**12 + 1, _SMOOTH_MAX, _SMOOTH_MAX + top - 1),  # a window scan
-            (top**2, 2, 10**9),  # a divisor-pair scan visits sqrt(k) candidates
+            (10**12 + 1, _SMOOTH_MAX, _SMOOTH_MAX + top - 1),  # below sqrt(k): the window
+            (top**2, 2, 10**9),  # up to k: every d in [1, sqrt(k)]
         ]
         for k, lo, hi in capped:
             if over:
@@ -147,6 +148,49 @@ class TestDivisorsInRange:
         assert divisors_in_range(k, 2, 5 * cap) == [
             r for r in range(2, 5 * cap + 1) if k % r == 0
         ]
+
+    def test_scan_cap_counts_cofactors_only(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SCAN_MAX", 1_000)
+        # a window above sqrt(k) = 10**4 scans d in [ceil(k/hi), k // lo] =
+        # [500, 1000], 501 candidates, not the 10**4 d <= sqrt(k)
+        assert divisors_in_range(10**8, 10**5, 2 * 10**5) == [
+            r for r in range(10**5, 2 * 10**5 + 1) if 10**8 % r == 0
+        ]
+
+    @st.composite
+    def _pair_windows(draw):
+        """(k, lo, hi): k up to 10**6, many of them with many divisors or
+        square, and windows below, straddling and above sqrt(k), their ends
+        near sqrt(k), near a divisor or its cofactor, near k, or anywhere up
+        to k + 2."""
+        k = draw(
+            st.integers(1, 10**6)
+            | st.sampled_from([720_720, 997_920, 10**6, 2**19, 999**2, 65_536 * 15])
+        )
+        root = math.isqrt(k)
+        d = draw(st.sampled_from([d for d in range(1, root + 1) if k % d == 0]))
+        near = st.sampled_from([root, root + 1, d, k // d, k]).flatmap(
+            lambda p: st.integers(p - 2, p + 2)
+        )
+        lo, hi = sorted(max(2, draw(near | st.integers(2, k + 2))) for _ in range(2))
+        return k, lo, hi
+
+    @given(_pair_windows())
+    @example((36, 6, 10))  # k square, sqrt(k) = lo: its cofactor is itself
+    @example((1_024 * 49, 224, 300))  # k square, sqrt(k) = lo, with cofactors above it
+    @example((36, 2, 6))  # k square, sqrt(k) = hi
+    @example((12, 2, 2))  # below sqrt(k), with the divisor 3 between hi and sqrt(k)
+    @example((1_000, 30, 100))  # hi divides k: ceil(k/hi) = k // hi = 10
+    @example((1_000, 40, 99))  # k % hi != 0: k // hi = 10 divides k, its cofactor 100 > hi
+    @example((1_000, 50, 99))  # lo = k // d for d = k // lo = 20
+    @example((40, 6, 9))  # lo = isqrt(k) = k // lo, which does not divide k
+    @example((42, 6, 7))  # lo = isqrt(k), hi = k // lo
+    @example((1_009, 500, 1_009))  # d = 1: its cofactor r = k = hi
+    @example((5, 10, 20))  # k < lo: no candidate, an empty list
+    @settings(max_examples=200, deadline=None)
+    def test_pair_range_matches_filter(self, window):
+        k, lo, hi = window
+        assert divisors_in_range(k, lo, hi) == [r for r in range(lo, hi + 1) if k % r == 0]
 
 
 def _smooth(a, b, c, d):
@@ -276,7 +320,8 @@ class TestSmoothPart:
     def test_point_query_replay(self):
         # 2,000 windows drawn as the point-query benchmark draws them, n
         # log-uniform to 10**12 and m to 10**4, kept when their scan would
-        # visit more than _SMOOTH_MIN candidates below _SMOOTH_MAX
+        # visit more than _SMOOTH_MIN candidates below _SMOOTH_MAX: the d in
+        # [min(lo, ceil(k/hi)), min(hi, k // lo, sqrt(k))]
         rng = random.Random(2024)
 
         def log_uniform(top):
@@ -291,7 +336,7 @@ class TestSmoothPart:
             root = math.isqrt(k)
             if a1 <= 1 or k == 0 or hi >= _SMOOTH_MAX:
                 continue
-            if (hi - lo if hi - lo <= 2 * root else root) <= _SMOOTH_MIN:
+            if min(hi, k // lo, root) - min(lo, -(-k // hi)) + 1 <= _SMOOTH_MIN:
                 continue
             kept += 1
             expected = [r for r in range(lo, hi + 1) if k % r == 0]

@@ -118,17 +118,17 @@ class TestCheck:
     @pytest.mark.parametrize(
         "n, m",
         [
-            (665_880_118_035, 355_088),  # window scan, prime residues
-            (167_279_807_974, 355_948),  # window scan, six witnesses
-            (677_239, 716_658),  # divisor-pair scan, prime residues
-            (2_456_026, 831_368),  # divisor-pair scan, four witnesses
+            (665_880_118_035, 355_088),  # window below sqrt(k), prime residues
+            (167_279_807_974, 355_948),  # window below sqrt(k), six witnesses
+            (677_239, 716_658),  # window above sqrt(k), prime residues
+            (2_456_026, 831_368),  # window above sqrt(k), four witnesses
             (8_209, 16_418),  # n = m/2: every r in the window divides k = 0
-            (477_110_510_428, 55_702),  # window scan, no witness
-            (393_996, 626_236),  # divisor-pair scan, no witness
+            (477_110_510_428, 55_702),  # window below sqrt(k), no witness
+            (393_996, 626_236),  # window above sqrt(k), no witness
         ],
     )
     def test_strong_json_above_the_smooth_tier(self, n, m):
-        # windows reaching 2**14 with more than 256 candidates take the plain scan
+        # windows reaching 2**14 with more than 256 candidates take the scan
         proc = run_cli("check", str(n), str(m), "--strong", "--json")
         payload = payload_of(proc)
         expected = [r for r in range(2, m) if n % r == m - n % m]
@@ -151,14 +151,31 @@ class TestCheck:
         assert "resource budget exceeded" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_window_above_sqrt_k_under_the_cap(self):
+        # k = n - a2 = 2**9 * 5**8 * 83 * 107 * 563 has sqrt(k) near 3.2e7, over
+        # the cap, but the window [a2 + 1, m - 1] lies above sqrt(k), so the
+        # scan visits only the d in [ceil(k/(m - 1)), k // (a2 + 1)], about 4e6
+        n, m = 1_000_000_800_000_000, 1_000_000_000
+        a2 = m - n % m
+        k = n - a2
+        assert k == 2**9 * 5**8 * 83 * 107 * 563
+        divisors = {1}
+        for p, e in ((2, 9), (5, 8), (83, 1), (107, 1), (563, 1)):
+            divisors = {d * p**i for d in divisors for i in range(e + 1)}
+        expected = sorted(d for d in divisors if a2 < d < m)
+        assert len(expected) == 62
+        proc = run_cli("check", str(n), str(m), "--json")
+        assert proc.returncode == 0
+        assert payload_of(proc)["all_indices"] == expected
+
 
 def check_grid_pairs():
     """About 200 (n, m) pairs for the `ramify check --strong` golden grid.
 
     Random pairs, n log-uniform to 10**12 and m to 10**4; then windows
     built on purpose: the widest window (n = -1 mod m) on both sides of
-    256 candidates and with k = n - 1 small enough that the divisor-pair
-    scan runs, n = m/2 (every r in the window divides k = 0), and strong
+    256 candidates and with k = n - 1 small enough that the window reaches
+    above sqrt(k), n = m/2 (every r in the window divides k = 0), and strong
     ramifiers of even moduli.
     """
     rng = random.Random(2019)
@@ -231,8 +248,9 @@ class TestCheckGrid:
             k, lo, hi = abs(n - a2), a2 + 1, m - 1
             if a1 <= 1 or k == 0:
                 continue
-            root = math.isqrt(k)
-            if hi < 2**14 and (hi - lo if hi - lo <= 2 * root else root) > 256:
+            # the scan would visit the d in [min(lo, ceil(k/hi)), min(hi, k // lo, sqrt(k))]
+            count = min(hi, k // lo, math.isqrt(k)) - min(lo, -(-k // hi)) + 1
+            if hi < 2**14 and count > 256:
                 routed.append((k, math.gcd(k, lcms[hi.bit_length()])))
         assert any(K == k for k, K in routed)  # k is its own smooth part
         # the trial division leaves K's largest prime factor, above 128, as its cofactor

@@ -36,9 +36,9 @@ _PRIMES_150 = prime_table(150)
 
 @st.composite
 def _serving_pairs(draw):
-    """(m, n) over the serving range.  n up to 10^12 walks the window of
-    divisors_in_range; n below m^2/4 can leave a window wider than
-    2*sqrt(n - a2), which takes its divisor-pair branch instead."""
+    """(m, n) over the serving range.  n up to 10^12 leaves the window of
+    divisors_in_range below sqrt(n - a2); n below m^2/4 can leave it
+    straddling or above sqrt(n - a2), where the scan visits cofactors."""
     m = draw(st.integers(2, 10**4))
     return m, draw(st.integers(2, 10**12) | st.integers(2, m * m // 4 + 2))
 
@@ -114,9 +114,9 @@ class TestCharacter:
         assert e % 47 == 1 and character(e, 47) == 0
 
     @given(_serving_pairs())
-    @example((97, 10**12 + 7))  # window scan
-    @example((10**4, 9_999))  # divisor pairs, ramifier
-    @example((10**4, 13_000))  # divisor pairs, non-ramifier
+    @example((97, 10**12 + 7))  # a window below sqrt(k)
+    @example((10**4, 9_999))  # a window straddling sqrt(k), ramifier
+    @example((10**4, 13_000))  # a window above sqrt(k), non-ramifier
     @example((12, 6))  # zero difference
     @settings(max_examples=300)
     def test_matches_witness_existence(self, pair):
