@@ -1,7 +1,7 @@
 """Exact integer helpers shared by the ramifier predicates and sieves:
 flag tables (one byte, 0 or 1, per integer, kept as immutable ``bytes``)
 with their budget and their one conversion to an int bitset, a prime
-table, and divisor scans over a window.
+table, divisor scans over a window, and a primality test by that scan.
 """
 
 from __future__ import annotations
@@ -169,6 +169,8 @@ def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
     if k == 0:
         _check_scan(hi - lo + 1, lo, hi)
         return list(range(lo, hi + 1))
+    if k < lo:
+        return []  # every divisor of k > 0 is at most k
     root = math.isqrt(k)
     if hi <= root:
         a, b = lo, hi  # a window below sqrt(k) holds no cofactor
@@ -186,3 +188,10 @@ def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
     if hi <= root or not hits:
         return hits
     return [d for d in hits if d >= lo] + [k // d for d in reversed(hits) if d >= c and d * d < k]
+
+
+def is_prime(p: int) -> bool:
+    """Whether p is prime: p >= 2 with no divisor in [2, isqrt(p)].  That window
+    takes the smooth route for p in [258**2, 2**28) and a scan elsewhere, and
+    raises ResourceBudgetError from about 2**48, past _SCAN_MAX candidates."""
+    return p >= 2 and (p < 4 or not divisors_in_range(p, 2, math.isqrt(p)))

@@ -184,8 +184,6 @@ def claim_zero_class(m_max: int = 50, x: int = 5000) -> ClaimReport:
     checked = 0
     for m in range(2, m_max + 1):
         for n in range(m, x + 1, m):
-            if n < 2:
-                continue
             checked += 1
             if character(n, m) == 1:
                 counterexamples.append({"m": m, "n": n})
@@ -295,7 +293,7 @@ def claim_goldbach_equivalence(m_max: int = 1000) -> ClaimReport:
                 }
             )
         elif cert is not None:
-            cert.validate(primes)
+            cert.validate()
             certified += 1
     notes = [
         f"{checked} even moduli swept, {certified} certificates found and re-validated",
@@ -576,10 +574,10 @@ def claim_threshold_scale(x_values: tuple[int, ...] = (20,)) -> ClaimReport:
         t = threshold(x)
         violations = 0
         for m in range(2, t):
-            n = build_sieve(m, x).flags.find(1)
-            if n >= 0:
+            w = admits_ramifier(m)
+            if w is not None and w.n <= x:
                 violations += 1
-                counterexamples.append({"x": x, "m": m, "n": n})
+                counterexamples.append({"x": x, "m": m, "n": w.n})
         cells.append({"x": x, "threshold": t})
         claimed.append(0)
         actual.append(violations)

@@ -20,15 +20,10 @@ from datetime import datetime, timezone
 from typing import Any, Callable
 
 from . import __version__
-from .arith import DEFAULT_BUDGET_BITS, ResourceBudgetError, prime_table
+from .arith import DEFAULT_BUDGET_BITS, ResourceBudgetError, is_prime, prime_table
 from .claims import CLAIMS, ClaimInfo, Verdict, report_rows, run_claim
 from .counting import build_sieve, summarize_sieve
-from .ramification import (
-    admits_strong_ramifier,
-    goldbach_counts,
-    ramifier_witnesses,
-    strong_witnesses,
-)
+from .ramification import admits_strong_ramifier, goldbach_counts, index_of
 
 LIST_CAP = 10_000  # scan payloads above this many ramifiers are truncated
 
@@ -61,9 +56,7 @@ def _emit(
 ) -> None:
     """Print the output the format asks for; each output is built by its
     zero-argument callable, and only the printed one is built."""
-    fmt = args.format
-    if getattr(args, "json", False):
-        fmt = "json"
+    fmt = "json" if args.json else args.format
     if fmt == "json" or (args.out and fmt == "text"):
         _deliver(_envelope_json(argv, payload()), args.out)
     elif fmt == "csv":
@@ -79,34 +72,38 @@ def _emit(
 
 def _cmd_check(args: argparse.Namespace, argv: list[str]) -> int:
     n, m = args.n, args.m
-    witnesses = ramifier_witnesses(n, m)
-    indices = [w.r for w in witnesses]
-    if args.strong:
-        witnesses = strong_witnesses(n, m, prime_table(m))
-    wdicts = [asdict(w) for w in witnesses]  # field order: m, n, a1|p1, r, a2|p2
+    rec = index_of(n, m)
+    indices = list(rec.all_indices) if rec else []
+    a1, a2 = n % m, m - n % m
+    rows = [(m, n, a1, r, a2) for r in indices]  # one witness per index
+    if args.strong and rows and not (is_prime(a1) and is_prime(a2)):
+        rows = []
+    keys = ("m", "n", "p1", "r", "p2") if args.strong else ("m", "n", "a1", "r", "a2")
     payload = {
         "n": n,
         "m": m,
         "strong": args.strong,
         "character": 1 if indices else 0,
-        "is_ramifier": bool(witnesses),
+        "is_ramifier": bool(rows),
         "index": indices[0] if indices else None,
         "all_indices": indices,
-        "witnesses": wdicts,
     }
     kind = "strong ramifier" if args.strong else "ramifier"
-    lines = [
+    head = [
         f"n={n} mod m={m}: character {payload['character']}, "
-        + (f"{kind}" if witnesses else f"not a {kind}")
+        + (kind if rows else f"not a {kind}")
     ]
     if indices:
-        lines.append(f"index {indices[0]}, all indices {indices}")
-    for w in wdicts:
-        lines.append("witness " + " ".join(f"{k}={v}" for k, v in w.items()))
-    header = ["m", "n", "p1", "r", "p2"] if args.strong else ["m", "n", "a1", "r", "a2"]
-    csv_rows = [header] + [list(d.values()) for d in wdicts]
-    _emit(args, argv, lambda: payload, lambda: lines, lambda: csv_rows)
-    return 0 if witnesses else 1
+        head.append(f"index {indices[0]}, all indices {indices}")
+    line = "witness " + " ".join(f"{k}={{}}" for k in keys)  # "witness m={} n={} ..."
+    _emit(
+        args,
+        argv,
+        lambda: {**payload, "witnesses": [dict(zip(keys, row)) for row in rows]},
+        lambda: head + [line.format(*row) for row in rows],
+        lambda: [keys] + rows,
+    )
+    return 0 if rows else 1
 
 
 def _cmd_scan(args: argparse.Namespace, argv: list[str]) -> int:
@@ -232,6 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "csv"), default="text",
         help="output format (default text)",
     )
+    common.add_argument("--json", action="store_true", help="shorthand for --format json")
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
 
     parser = argparse.ArgumentParser(
@@ -245,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--strong", action="store_true", help="require prime residues")
-    p.add_argument("--json", action="store_true", help="shorthand for --format json")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("scan", parents=[common], help="sieve all n <= x for one m")
@@ -268,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("goldbach", parents=[common], help="even-modulus sweep")
     p.add_argument("--m-max", type=int, required=True, metavar="N")
-    p.add_argument("--json", action="store_true", help="shorthand for --format json")
     p.set_defaults(func=_cmd_goldbach)
 
     return parser

@@ -16,13 +16,12 @@ their interest.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .arith import PrimeTable, bitset, divisors_in_range
+from .arith import PrimeTable, bitset, divisors_in_range, is_prime
 from .counting import _low_bands
 
 
@@ -66,14 +65,10 @@ class StrongWitness:
     def as_witness(self) -> Witness:
         return Witness(m=self.m, n=self.n, a1=self.p1, r=self.r, a2=self.p2)
 
-    def validate(self, primes: PrimeTable | None = None) -> None:
+    def validate(self) -> None:
         self.as_witness().validate()
         for p in (self.p1, self.p2):
-            if primes is not None and p <= primes.limit:
-                ok = primes.is_prime(p)
-            else:
-                ok = p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
-            if not ok:
+            if not is_prime(p):
                 raise ValueError(f"residue {p} is not prime")
 
 

@@ -128,7 +128,7 @@ def test_criterion_6_goldbach_equivalence_to_10000(primes_10k):
         if has_partition != (cert is not None):
             mismatches.append(m)
         elif cert is not None:
-            cert.validate(primes_10k)
+            cert.validate()
     elapsed = time.monotonic() - start
     assert mismatches == []
     assert elapsed < 300, f"goldbach sweep took {elapsed:.1f}s"

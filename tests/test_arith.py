@@ -15,6 +15,7 @@ from ramify.arith import (
     ResourceBudgetError,
     bitset,
     divisors_in_range,
+    is_prime,
     prime_table,
 )
 
@@ -187,6 +188,9 @@ class TestDivisorsInRange:
     @example((42, 6, 7))  # lo = isqrt(k), hi = k // lo
     @example((1_009, 500, 1_009))  # d = 1: its cofactor r = k = hi
     @example((5, 10, 20))  # k < lo: no candidate, an empty list
+    @example((99, 100, 110))  # k = lo - 1: the least k that returns at once
+    @example((1, 2, 10))  # k = 1
+    @example((100, 100, 150))  # k = lo: k is its own divisor
     @settings(max_examples=200, deadline=None)
     def test_pair_range_matches_filter(self, window):
         k, lo, hi = window
@@ -341,6 +345,35 @@ class TestSmoothPart:
             kept += 1
             expected = [r for r in range(lo, hi + 1) if k % r == 0]
             assert divisors_in_range(k, lo, hi) == expected, (n, m)
+
+
+class TestIsPrime:
+    def test_matches_prime_table(self):
+        # the scan below 258**2 = 66,564 and the smooth route above it
+        limit = 2**18
+        assert bytes(map(is_prime, range(limit + 1))) == prime_table(limit).flags
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            561, 1_105, 1_729, 41_041, 825_265, 321_197_185,  # Carmichael numbers
+            3_215_031_751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+            # above 2**28: the plain scan of [2, isqrt(p)]
+            16_411**2, 16_411 * 16_417, 2**31 - 1,
+        ],
+    )
+    def test_against_trial_division(self, p):
+        assert is_prime(p) == trial_is_prime(p)
+
+    def test_scan_cap(self, monkeypatch):
+        # only a window that reaches 2**14 takes the capped scan, so the cap
+        # is set above that.  The window [2, 2**15 + 1] of p - 1 holds 2**15
+        # candidates, at the cap; the window of p holds one more.
+        monkeypatch.setattr(arith, "_SCAN_MAX", 2**15)
+        p = (2**15 + 2) ** 2
+        assert is_prime(p - 1) is False
+        with pytest.raises(ResourceBudgetError, match=r"\[2, 32770\] needs 32769 candidates"):
+            is_prime(p)
 
 
 class TestBitset:

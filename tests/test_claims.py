@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,8 @@ from ramify.claims import (
     replay_report,
     run_claim,
 )
-from ramify.counting import build_sieve, multi_modulus_ramifiers
-from ramify.ramification import character, ramifier_witnesses
+from ramify.counting import build_sieve, multi_modulus_ramifiers, threshold
+from ramify.ramification import admits_ramifier, character, ramifier_witnesses
 
 
 def shift_by_point_calls(m_max, n_max):
@@ -390,6 +391,29 @@ class TestThresholdScale:
         r = claim_threshold_scale((2,))
         assert r.verdict == Verdict.HOLDS_AT_SCALE
         assert r.counterexamples == []
+
+    def test_least_ramifier_matches_the_sieve(self):
+        # the runner reads the least ramifier n <= x of each modulus from the
+        # bands below 2m; the first flag of the sieve to x is the independent
+        # route.  A seeded sample of the 39,334 cells with x < 700 and m below
+        # threshold(x) + 40, so that most moduli have a ramifier n <= x.
+        grid = [(x, m) for x in range(2, 700) for m in range(2, threshold(x) + 40)]
+        for x, m in random.Random(17).sample(grid, 8_000):
+            w = admits_ramifier(m)
+            got = w.n if w is not None and w.n <= x else -1
+            assert got == build_sieve(m, x).flags.find(1), (x, m)
+
+    def test_report_matches_the_sieve(self):
+        xs = (2, 20, 100, 699)
+        expected = []  # from the first flag of each sieve, the independent route
+        for x in xs:
+            for m in range(2, threshold(x)):
+                n = build_sieve(m, x).flags.find(1)
+                if n >= 0:
+                    expected.append({"x": x, "m": m, "n": n})
+        r = claim_threshold_scale(xs)
+        assert r.counterexamples == expected
+        assert r.actual == [sum(c["x"] == x for c in expected) for x in xs]
 
 
 class TestReplay:

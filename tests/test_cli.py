@@ -48,13 +48,22 @@ class TestCheck:
     def test_malformed_integer_exit_2(self):
         assert run_cli("check", "seven", "5").returncode == 2
 
-    def test_strong_prime_table_over_budget_exit_3(self):
-        # the prime table to m keeps a byte per n in [0, m]: 8 * (2**27 + 1)
-        # bits are over the 2**30-bit budget, so nothing is sieved
-        proc = run_cli("check", "7", str(2**27), "--strong")
+    def test_strong_residues_by_the_divisor_scan(self):
+        # m = 2**28: a prime table to m would pass the 2**30-bit budget, and
+        # the two residues are tested by the divisor scan instead
+        proc = run_cli("check", "178957007", "268435456", "--strong")
+        assert proc.returncode == 0
+        witness = "witness m=268435456 n=178957007 p1=178957007 r=89478558 p2=89478449"
+        assert witness in proc.stdout.splitlines()
+        # m = 2**50: the residue 1013309916158361 has the window [2, 31832529],
+        # over the scan cap; without --strong no residue is tested, and the
+        # pair's own window is under the cap
+        n, m = "1013309916158361", "1125899906842624"
+        proc = run_cli("check", n, m, "--strong")
         assert proc.returncode == 3
-        assert "budget" in proc.stderr
+        assert "resource budget exceeded" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert run_cli("check", n, m).returncode == 0
 
     def test_json_payload(self):
         payload = payload_of(run_cli("check", "7", "5", "--json"))
@@ -285,6 +294,12 @@ class TestScan:
             [str(n), "1" if n == 5 else "0"] for n in range(2, 11)
         ]
 
+    def test_json_flag(self):
+        args = ("scan", "--m", "37", "--x", "600")
+        flag, fmt = run_cli(*args, "--json"), run_cli(*args, "--format", "json")
+        assert flag.returncode == fmt.returncode == 0
+        assert payload_of(flag) == payload_of(fmt)
+
     def test_budget_exit_3(self):
         proc = run_cli("scan", "--m", "5", "--x", "100000", "--budget-bits", "1000")
         assert proc.returncode == 3
@@ -378,6 +393,12 @@ class TestClaims:
             "value_at_n": 1,
             "value_at_shift": 0,
         } in report["counterexamples"]
+
+    def test_json_flag(self):
+        args = ("claims", "--m-max", "12", "--x", "200")
+        flag, fmt = run_cli(*args, "--json"), run_cli(*args, "--format", "json")
+        assert flag.returncode == fmt.returncode == 1
+        assert payload_of(flag) == payload_of(fmt)
 
     def test_unknown_id_exit_2(self):
         proc = run_cli("claims", "--ids", "C99")

@@ -156,7 +156,7 @@ class TestStrongWitnesses:
         strong = strong_witnesses(n, m, _PRIMES_150)
         ordinary = {(w.a1, w.r, w.a2) for w in ramifier_witnesses(n, m)}
         for sw in strong:
-            sw.validate(_PRIMES_150)
+            sw.validate()
             assert (sw.p1, sw.r, sw.p2) in ordinary
             sw.as_witness().validate()
 
@@ -375,7 +375,7 @@ class TestAdmitsStrongRamifier:
             assert sw is None
         else:
             assert (sw.n, sw.p1, sw.r, sw.p2) == expected
-            sw.validate(primes_200)
+            sw.validate()
 
     def test_matches_brute_scan(self, primes_200):
         for m in range(2, 150):
@@ -385,7 +385,7 @@ class TestAdmitsStrongRamifier:
                 assert sw is None, m
             else:
                 assert sw is not None, m
-                sw.validate(primes_200)
+                sw.validate()
                 assert (sw.n, sw.r) == expected, m
 
     def test_table_too_small(self, primes_200):
