@@ -51,13 +51,14 @@ GOLDEN_ARGV = {
 
 #: Point checks at the scale edges: a strong check far above its residues'
 #: table, n = m/2 windows of 10^5 and 10^6 witnesses, and strong checks
-#: with m at 2^28 and 2^50.
+#: with m at 2^28 and 2^50, the last with two even residues above 2^48.
 CHECKS = [
     "check 12345678901 100000000 --strong",
     "check 100000 200000",
     "check 1000000 2000000",
     "check 178957007 268435456 --strong",
     "check 1013309916158361 1125899906842624 --strong",
+    "check 1970324836974592 1125899906842624 --strong",
 ]
 
 OTHERS = [

@@ -192,6 +192,11 @@ def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
 
 def is_prime(p: int) -> bool:
     """Whether p is prime: p >= 2 with no divisor in [2, isqrt(p)].  That window
-    takes the smooth route for p in [258**2, 2**28) and a scan elsewhere, and
-    raises ResourceBudgetError from about 2**48, past _SCAN_MAX candidates."""
+    takes the smooth route for p in [258**2, 2**28) and a scan elsewhere.  From
+    2**28, where the scan starts to reach _SMOOTH_MAX, one gcd with
+    lcm(1, ..., 2**14) first rules out every p with a prime factor below
+    2**14; the scan of the rest raises ResourceBudgetError from about 2**48,
+    past _SCAN_MAX candidates."""
+    if p >= _SMOOTH_MAX * _SMOOTH_MAX and math.gcd(p, _smooth_lcm(14)) > 1:
+        return False
     return p >= 2 and (p < 4 or not divisors_in_range(p, 2, math.isqrt(p)))

@@ -17,7 +17,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import compress
 
 from .arith import DEFAULT_BUDGET_BITS, _check_budget
 
@@ -131,6 +131,11 @@ def count_ramifiers(m: int, x: int) -> CountSummary:
 #   q >= 2 (n >= 2m):   no closed form; one sweep over the moduli answers
 #                       the window test for a whole band at once.
 #
+# Read per n instead, the first two bands are ranges of m: q = 0 holds n
+# for n < m < 3n/2 and m = 2n, and q = 1 for n/2 < m < 3n/4 (a1 = n - m
+# > m/3 is 3n > 4m), less m = 2n/3, where a1 = m/2.  Every m of a band
+# q >= 2 is below n/2, so an n's moduli ascend with those bands first.
+#
 # The sweep visits m in ascending order and keeps L[k], the largest divisor
 # d of k with 2 <= d < m (0 if none), for every k <= x.  With c = (q + 1)*m,
 # the window base of n = q*m + a1 is k = n - a2 = 2n - c, and n ramifies iff
@@ -173,6 +178,20 @@ def _low_bands(m: int, x: int) -> list[range]:
     return bands
 
 
+def _low_moduli(n: int, x: int) -> list[range]:
+    """The moduli m <= x that hold n in a band n < 2m of ``_low_bands``, for
+    2 <= n <= x, as disjoint ranges of m in ascending order."""
+    top = min((3 * n - 1) // 4, x) + 1  # q = 1: n/2 < m < 3n/4
+    if n % 3:
+        mods = [range(n // 2 + 1, top)]
+    else:  # m = 2n/3 has a1 = m/2
+        mods = [range(n // 2 + 1, min(2 * n // 3, top)), range(2 * n // 3 + 1, top)]
+    mods.append(range(n + 1, min((3 * n - 1) // 2, x) + 1))  # q = 0: n < m < 3n/2
+    if 2 * n <= x:
+        mods.append(range(2 * n, 2 * n + 1))
+    return mods
+
+
 def _field_type(x: int) -> str:
     """The array typecode of the sweep's fields: 16 bits while the guard bit
     2**15 exceeds x, else 32, which holds the x < 2**19 the budget admits."""
@@ -180,13 +199,13 @@ def _field_type(x: int) -> str:
 
 
 def _sweep(x: int, m_lo: int, m_hi: int):
-    """Yield (m, low, runs) for m = m_lo..m_hi in ascending order.
+    """Yield (m, runs) for m = m_lo..m_hi in ascending order.
 
-    ``low`` is ``_low_bands(m, x)``.  ``runs`` holds a (start, fields, guards)
-    triple for the quotient bands q >= 2 with q even, then one for q odd,
-    each while it has a band: field p of the run stands for
-    n = start + p + (p // m)*m, and that n ramifies iff bit p*b + b - 1 of
-    ``guards`` is set, b the width of ``_field_type(x)``; no other bit is set.
+    ``runs`` holds a (start, fields, guards) triple for the quotient bands
+    q >= 2 with q even, then one for q odd, each while it has a band: field p
+    of the run stands for n = start + p + (p // m)*m, and that n ramifies iff
+    bit p*b + b - 1 of ``guards`` is set, b the width of ``_field_type(x)``;
+    no other bit is set.  The bands q < 2 are ``_low_bands(m, x)``.
     """
     typecode = _field_type(x)
     width = array(typecode).itemsize
@@ -216,7 +235,7 @@ def _sweep(x: int, m_lo: int, m_hi: int):
                         L = int.from_bytes(planes[k & 1][k >> 1 : (k >> 1) + fields], order)
                         T = int.from_bytes((period * bands)[:fields], order)
                         runs.append((start, fields, (L + T) & guard))
-                yield m, _low_bands(m, x), runs
+                yield m, runs
             if m < last:
                 if m % 2:
                     multiples = ((even, m, m), (odd, m // 2, m))
@@ -244,16 +263,16 @@ def ramifier_counts(x: int, m_lo: int, m_hi: int) -> list[int]:
         raise ValueError("need 2 <= m_lo <= m_hi <= x")
     _check_budget(x, _SWEEP_BITS_PER_N * (x + 1), DEFAULT_BUDGET_BITS)
     return [
-        sum(map(len, low)) + sum(guards.bit_count() for _, _, guards in runs)
-        for _, low, runs in _sweep(x, m_lo, m_hi)
+        sum(map(len, _low_bands(m, x))) + sum(guards.bit_count() for _, _, guards in runs)
+        for m, runs in _sweep(x, m_lo, m_hi)
     ]
 
 
 #: Bits multi_modulus_ramifiers charges per pair (n, m) with n, m <= x.  Its
 #: lists hold about 0.4*x**2 moduli, each an 8-byte slot, with up to 1/8 more
 #: for over-allocation: about 29 bits per pair, since the moduli themselves
-#: are shared ints.  tracemalloc measures a peak of 29.3 bits per pair at
-#: x = 300, 28.5 at 1,000 and 27.9 at 2,000.  So the default budget holds
+#: are shared ints.  tracemalloc measures a peak of 28.5 bits per pair at
+#: x = 300, 27.3 at 1,000 and 26.8 at 2,000.  So the default budget holds
 #: x <= 5792, and the x near 2,500 of the counting benchmark takes a fifth.
 _MULTI_BITS_PER_PAIR = 32
 
@@ -267,10 +286,7 @@ def multi_modulus_ramifiers(x: int) -> list[tuple[int, list[int]]]:
     width = array(_field_type(x)).itemsize
     shift, spread = 8 * width - 1, int.from_bytes(b"\x01" * width, "little")
     moduli: list[list[int]] = [[] for _ in range(x + 1)]
-    for m, low, runs in _sweep(x, 2, x):  # ascending m keeps each list sorted
-        for ns in low:
-            for ms in moduli[ns.start : ns.stop]:
-                ms.append(m)
+    for m, runs in _sweep(x, 2, x):  # ascending m keeps each list sorted
         for start, fields, guards in runs:
             # every byte of a field holds its guard bit, so one byte per field
             # is its flag, whichever end of the field it is
@@ -280,6 +296,12 @@ def multi_modulus_ramifiers(x: int) -> list[tuple[int, list[int]]]:
                 n = start + 2 * p
                 for ms in compress(moduli[n : n + m - 2], flags[p : p + m - 2]):
                     ms.append(m)
+    # the moduli of the bands n < 2m are above n/2, so above those of the sweep;
+    # as slices of one list they share its ints
+    mods = list(range(x + 1))
+    for n in range(2, x + 1):
+        for band in _low_moduli(n, x):
+            moduli[n] += mods[band.start : band.stop]
     return [(n, ms) for n, ms in enumerate(moduli) if len(ms) >= 2]
 
 
@@ -287,19 +309,15 @@ def low_band_counts(x: int) -> array:
     """For every n in [0, x], the number of moduli m in [2, x] that hold n in
     their closed-form bands n < 2m; each such n is a proved ramifier of m.
 
-    One difference array over all the bands, so the cost is O(x) in time
-    and in memory (a 32-bit counter per n, charged against the budget).
+    O(x) time and memory: a few ranges of m per n, and a 32-bit counter per
+    n, charged against the budget.
     """
     if x < 2:
         raise ValueError("x must be >= 2")
     _check_budget(x, 32 * (x + 2), DEFAULT_BUDGET_BITS)
-    diff = array("i", bytes(4 * (x + 2)))
-    for m in range(2, x + 1):
-        for band in _low_bands(m, x):
-            if band:
-                diff[band.start] += 1
-                diff[band.stop] -= 1
-    return array("i", accumulate(diff[: x + 1]))
+    counts = array("i", bytes(8))  # n = 0 and 1 are in no band
+    counts.extend(sum(map(len, _low_moduli(n, x))) for n in range(2, x + 1))
+    return counts
 
 
 def threshold(x: int) -> int:

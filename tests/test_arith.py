@@ -350,8 +350,19 @@ class TestSmoothPart:
 class TestIsPrime:
     def test_matches_prime_table(self):
         # the scan below 258**2 = 66,564 and the smooth route above it
-        limit = 2**18
+        limit = 2**20
         assert bytes(map(is_prime, range(limit + 1))) == prime_table(limit).flags
+
+    def test_matches_a_segmented_sieve_from_2_28(self):
+        # from 2**28 the gcd rules out a prime factor below 2**14 and the
+        # scan settles the rest; the sieve strikes the multiples of every
+        # prime up to the square root of the window's top
+        lo, hi = 2**28 - 2**12, 2**28 + 2**12
+        flags = bytearray([1]) * (hi - lo + 1)
+        for q in prime_table(math.isqrt(hi)).primes:
+            first = -(-lo // q) * q
+            flags[first - lo :: q] = bytes(len(range(first, hi + 1, q)))
+        assert bytes(map(is_prime, range(lo, hi + 1))) == flags
 
     @pytest.mark.parametrize(
         "p",
@@ -367,13 +378,23 @@ class TestIsPrime:
 
     def test_scan_cap(self, monkeypatch):
         # only a window that reaches 2**14 takes the capped scan, so the cap
-        # is set above that.  The window [2, 2**15 + 1] of p - 1 holds 2**15
-        # candidates, at the cap; the window of p holds one more.
+        # is set above that, and only a p with no prime factor below 2**14
+        # reaches the scan.  The window [2, 2**15 + 1] of the prime 1073807369
+        # holds 2**15 candidates, at the cap; that of the prime 1073872903,
+        # just above (2**15 + 2)**2, holds one more.
         monkeypatch.setattr(arith, "_SCAN_MAX", 2**15)
-        p = (2**15 + 2) ** 2
-        assert is_prime(p - 1) is False
+        assert math.isqrt(1073807369) == 2**15 + 1
+        assert is_prime(1073807369) is True
         with pytest.raises(ResourceBudgetError, match=r"\[2, 32770\] needs 32769 candidates"):
-            is_prime(p)
+            is_prime(1073872903)
+
+    def test_small_factor_answers_under_the_cap(self, monkeypatch):
+        # 2**40 and 3 * 5 * 16411**3 would scan 2**20 and about 8.1 * 10**6
+        # candidates; one gcd answers each before the scan, whatever the cap
+        monkeypatch.setattr(arith, "_SCAN_MAX", 2**15)
+        assert is_prime(2**40) is False
+        assert is_prime(3 * 5 * 16_411**3) is False
+        assert is_prime(16_411 * 16_417) is False  # no factor below 2**14: the scan
 
 
 class TestBitset:

@@ -55,14 +55,31 @@ class TestCheck:
         assert proc.returncode == 0
         witness = "witness m=268435456 n=178957007 p1=178957007 r=89478558 p2=89478449"
         assert witness in proc.stdout.splitlines()
-        # m = 2**50: the residue 1013309916158361 has the window [2, 31832529],
-        # over the scan cap; without --strong no residue is tested, and the
-        # pair's own window is under the cap
-        n, m = "1013309916158361", "1125899906842624"
+        # m = 2**50: the prime residue 1013309916158461 has no factor below
+        # 2**14 and the window [2, 31832529], over the scan cap; without
+        # --strong no residue is tested, and the pair's own window is under
+        # the cap
+        n, m = "1013309916158461", "1125899906842624"
         proc = run_cli("check", n, m, "--strong")
         assert proc.returncode == 3
-        assert "resource budget exceeded" in proc.stderr
+        assert "window [2, 31832529] needs 31832528 candidates" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert run_cli("check", n, m).returncode == 0
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            "1970324836974592",  # a1 = 2**49 + 2**48, a2 = 2**48
+            "1013309916158361",  # a1 = n = 3 * 337769972052787
+        ],
+    )
+    def test_strong_residue_with_a_small_factor_past_the_cap(self, n):
+        # a residue above 2**48 whose window the scan cap refuses, but whose
+        # factor below 2**14 one gcd finds: the pair is not a strong ramifier
+        m = "1125899906842624"
+        proc = run_cli("check", n, m, "--strong")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.startswith(f"n={n} mod m={m}: character 1, not a strong ramifier\n")
         assert run_cli("check", n, m).returncode == 0
 
     def test_json_payload(self):

@@ -13,6 +13,7 @@ from ramify.counting import (
     _SWEEP_BITS_PER_N,
     _field_type,
     _low_bands,
+    _low_moduli,
     build_sieve,
     count_ramifiers,
     low_band_counts,
@@ -411,6 +412,13 @@ class TestMultiModulus:
         # beyond the drawn range; the naive oracle alone would cross the deadline
         assert multi_modulus_ramifiers(137) == naive_multi(137)
 
+    @pytest.mark.parametrize("x", range(138, 151))
+    def test_matches_naive_every_residue_mod_12(self, x):
+        # 13 consecutive x: x, and with it n = x, x - 1, ..., takes every
+        # residue mod 12, so each case of the 3 | n and parity splits of the
+        # bands n < 2m meets the cap m <= x
+        assert multi_modulus_ramifiers(x) == naive_multi(x)
+
 
 class TestMultiModulusBudget:
     def test_budget_covers_the_traced_peak(self):
@@ -444,6 +452,19 @@ class TestLowBands:
                 ns = [n for b in _low_bands(m, x) for n in b]
                 assert all(a < b for a, b in zip(ns, ns[1:])), (m, x)
                 assert ns == [n for n in below_2m if n <= x], (m, x)
+
+
+class TestLowModuli:
+    def test_inverts_low_bands(self):
+        # the moduli of each n, read off the bands of every m <= x
+        for x in range(2, 401):
+            inverse = [[] for _ in range(x + 1)]
+            for m in range(2, x + 1):
+                for band in _low_bands(m, x):
+                    for n in band:
+                        inverse[n].append(m)
+            for n in range(2, x + 1):
+                assert [m for ms in _low_moduli(n, x) for m in ms] == inverse[n], (n, x)
 
 
 class TestLowBandCounts:
