@@ -2,19 +2,24 @@
 """Run a fixed list of ramify CLI invocations under a parent checkout and
 under this one, and compare what they print.
 
-Each invocation runs once per side, parent first, as `python -m ramify ARGS`
-in a child process with that side's `src/` first on PYTHONPATH; each side's
-bytecode is compiled once, into a temporary cache, before the first run.
-The two runs must agree on stdout, less the envelope's `generated_at`
-line, on stderr and on the exit code.  A parent run that exits 3
-(resource budget exceeded) gave no answer, so whatever the change prints
-there is listed as `parent exit 3` and is not counted as a difference; a
-change run that exits 3 where the parent answered is.
+Each invocation runs as `python -m ramify ARGS` in a child process with
+that side's `src/` first on PYTHONPATH; each side's bytecode is compiled
+once, into a temporary cache, before the first run.  An invocation of the
+golden grid runs once per side, parent first; every other one runs three
+times per side, alternating parent and change, and its time is the least
+of its three, so that one slow run on a shared host does not read as a
+change.  The last run of each side must agree with the other's on stdout,
+less the envelope's `generated_at` line, on stderr and on the exit code.
+A parent run that exits 3 (resource budget exceeded) gave no answer, so
+whatever the change prints there is listed as `parent exit 3` and is not
+counted as a difference; a change run that exits 3 where the parent
+answered is.
 
 One line per group of invocations gives the outcome and, per side, the
-total wall time and the largest peak RSS of a child.  The golden grid
-(`tests/golden/check_grid.json`) is one group; every other invocation is
-its own.  Exits 1 if any invocation differs, 0 otherwise.
+total wall time (the sum of each invocation's least) and the largest peak
+RSS of a child.  The golden grid (`tests/golden/check_grid.json`) is one
+group; every other invocation is its own.  Exits 1 if any invocation
+differs, 0 otherwise.
 
 Usage:
     git clone -q . ../parent && git -C ../parent checkout -q PARENT_COMMIT
@@ -24,6 +29,7 @@ Usage:
 import argparse
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,20 +73,24 @@ OTHERS = [
     "goldbach --m-max 20000 --format json",
 ]
 
+#: Timed runs per side of each invocation outside the golden grid.
+REPEATS = 3
 
-def groups() -> list[tuple[str, list[list[str]]]]:
-    """(label, argvs) in run order: the golden files, the golden grid, the
-    claims and Goldbach sweeps, then each check in text, JSON and CSV."""
+
+def groups() -> list[tuple[str, list[list[str]], int]]:
+    """(label, argvs, runs per side) in run order: the golden files, the
+    golden grid, the claims and Goldbach sweeps, then each check in text,
+    JSON and CSV."""
     unlisted = {p.name for p in GOLDEN.iterdir()} - set(GOLDEN_ARGV) - {"check_grid.json"}
     if unlisted:
         raise SystemExit(f"golden files with no invocation listed: {sorted(unlisted)}")
-    out = [(line, [line.split()]) for line in GOLDEN_ARGV.values()]
+    out = [(line, [line.split()], REPEATS) for line in GOLDEN_ARGV.values()]
     grid = [entry["argv"] for entry in json.loads((GOLDEN / "check_grid.json").read_text())]
-    out.append((f"check_grid.json ({len(grid)} invocations)", grid))
-    out += [(line, [line.split()]) for line in OTHERS]
+    out.append((f"check_grid.json ({len(grid)} invocations)", grid, 1))
+    out += [(line, [line.split()], REPEATS) for line in OTHERS]
     for line in CHECKS:
         for fmt in ("", " --format json", " --format csv"):
-            out.append((line + fmt, [(line + fmt).split()]))
+            out.append((line + fmt, [(line + fmt).split()], REPEATS))
     return out
 
 
@@ -140,15 +150,18 @@ def compare(srcs: tuple[Path, Path], tmp: Path) -> int:
     outs = [tmp / "parent", tmp / "change"]
     print(f"{'outcome':<14} {'parent':>16} {'change':>16}  invocation")
     differ = 0
-    for label, argvs in groups():
+    for label, argvs, runs in groups():
         walls, rss, notes, outcome = [0.0, 0.0], [0.0, 0.0], [], "same"
         for argv in argvs:
-            codes = []
-            for i, (env, out) in enumerate(zip(envs, outs)):
-                code, wall, peak = run(env, argv, out)
-                codes.append(code)
-                walls[i] += wall
-                rss[i] = max(rss[i], peak)
+            least = [math.inf, math.inf]
+            for _ in range(runs):
+                codes = []
+                for i, (env, out) in enumerate(zip(envs, outs)):
+                    code, wall, peak = run(env, argv, out)
+                    codes.append(code)
+                    least[i] = min(least[i], wall)
+                    rss[i] = max(rss[i], peak)
+            walls = [w + t for w, t in zip(walls, least)]
             what = [f"exit {codes[0]} -> {codes[1]}"] if codes[0] != codes[1] else []
             for stream in ("stdout", "stderr"):
                 diff = first_difference(f"{outs[0]}.{stream}", f"{outs[1]}.{stream}")

@@ -22,9 +22,11 @@ replayed through the core predicates via replay_counterexample.
 
 Claims that only count read bulk answers: C5 takes its partition counts
 from the prime bitset (``goldbach_counts``), C8 its count from the
-closed-form band counts, and C11 properties (i) and (ii) one sieve row
-per modulus.  Replays stay on the point predicates, so each replay
-re-derives a recorded violation independently of the bulk route.
+closed-form band counts, C9 its witness pairs (n, r) from the sieve's
+progressions (``counting._progressions``), one member at a time only
+where a progression has one, and C11 properties (i), (ii) and (iv) one
+sieve row per modulus.  Replays stay on the point predicates, so each
+replay re-derives a recorded violation independently of the bulk route.
 
 Sweeps iterate ascending (m, then n, then r), so reports are
 byte-reproducible.
@@ -34,12 +36,14 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import compress, repeat
 from typing import Any, Callable
 
-from .arith import bitset, prime_table
+from .arith import DEFAULT_BUDGET_BITS, _check_budget, bitset, prime_table
 from .counting import (
+    _progressions,
     build_sieve,
     count_ramifiers,
     low_band_counts,
@@ -48,7 +52,6 @@ from .counting import (
     threshold,
 )
 from .ramification import (
-    _witness_moduli,
     admits_ramifier,
     admits_strong_ramifier,
     character,
@@ -81,7 +84,10 @@ class ClaimReport:
     notes: str = ""
 
     def to_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "verdict": self.verdict.value}
+        # shallow: the values are plain JSON data, so nothing needs a copy
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+            "verdict": self.verdict.value
+        }
 
 
 @dataclass(frozen=True)
@@ -391,18 +397,35 @@ def claim_pigeonhole(x: int = 100) -> ClaimReport:
 def claim_magnification(m_max: int = 30, x: int = 2000) -> ClaimReport:
     """For a ramifier n in modulus m with gcd(|n - m|, a1) = 1, every
     witnessing inner modulus r satisfies a1 | r or gcd(r, a1) = 1."""
+    if x < 2:
+        raise ValueError("x must be >= 2")
+    _check_budget(x, 8 * (x + 1), DEFAULT_BUDGET_BITS)  # the sieve's cap on x
     counterexamples = []
     instances = 0
     for m in range(2, m_max + 1):
-        for n in build_sieve(m, x).ramifiers():
-            a1 = n % m
-            if math.gcd(abs(n - m), a1) != 1:
+        for r, period, starts in _progressions(m, x):
+            if period > x:  # one member each
+                for n in starts:
+                    a1 = n % m
+                    if math.gcd(n - m, a1) == 1:
+                        instances += 1
+                        if r % a1 and math.gcd(r, a1) != 1:
+                            counterexamples.append({"m": m, "n": n, "a1": a1, "r": r})
                 continue
-            for r in _witness_moduli.__wrapped__(n, m):  # a bulk scan skips the memo
-                instances += 1
-                if r % a1 == 0 or math.gcd(r, a1) == 1:
+            for n0 in starts:
+                a1 = n0 % m
+                # n - m = a1 (mod m), so gcd(m, a1) divides gcd(n - m, a1)
+                if math.gcd(m, a1) != 1:
                     continue
-                counterexamples.append({"m": m, "n": n, "a1": a1, "r": r})
+                gcds = list(map(math.gcd, range(n0 - m, x - m + 1, period), repeat(a1)))
+                instances += gcds.count(1)
+                if r % a1 and math.gcd(r, a1) != 1:
+                    counterexamples += [
+                        {"m": m, "n": n0 + i * period, "a1": a1, "r": r}
+                        for i, g in enumerate(gcds)
+                        if g == 1
+                    ]
+    counterexamples.sort(key=lambda c: (c["m"], c["n"], c["r"]))
     notes = [
         f"{instances} witnessing moduli examined under the coprimality hypothesis",
         "the difference n - m enters the hypothesis as |n - m|",
@@ -467,10 +490,18 @@ def claim_character_properties(
     failing modulus stays represented in the report."""
     counterexamples: list[dict] = []
     total_i = 0
+    zero_one: list[tuple[int, int]] = []  # the (m, n) of (iv) that ramify
     in_range = (1 << max(n_max + 1, 2)) - 4  # the bits of n in [2, n_max]
     for m in range(2, m_max + 1):
-        # bit n of v is character(n, m); bit n of v >> 2m is character(n + 2m, m)
-        v = bitset(build_sieve(m, n_max + 2 * m).flags)
+        # flags[n] and bit n of v are character(n, m); bit n of v >> 2m is
+        # character(n + 2m, m)
+        flags = build_sieve(m, n_max + 2 * m).flags
+        zero_one += sorted(
+            (m, n)
+            for a in (0, 1)  # the flags of 0 and 1 are 0
+            for n in compress(range(a, n_max + 1, m), flags[a : n_max + 1 : m])
+        )
+        v = bitset(flags)
         mismatches = (v ^ (v >> 2 * m)) & in_range
         total_i += mismatches.bit_count()
         for _ in range(max_counterexamples):
@@ -488,24 +519,22 @@ def claim_character_properties(
                     "value_at_shift": v >> (n + 2 * m) & 1,
                 }
             )
-    fails_ii = fails_iv = fails_v = 0
+    fails_ii = fails_v = 0
     for m in range(2, min(m_max, _SHIFT_CAP) + 1):
         f = math.factorial(m)
         c_f = character(f, m)
-        row = build_sieve(m, n_max + f)  # row.bit(n) is character(n, m)
-        for n in range(2, n_max + 1):
-            c_n = row.bit(n)
-            if row.bit(n + f) != c_n:
+        flags = build_sieve(m, n_max + f).flags  # flags[n] is character(n, m)
+        for n, c_n, c_shift in zip(
+            range(2, n_max + 1), flags[2 : n_max + 1], flags[2 + f : n_max + f + 1]
+        ):
+            if c_shift != c_n:
                 fails_ii += 1
                 counterexamples.append({"property": "ii", "m": m, "n": n})
             if character(n * f, m) != c_n * c_f:
                 fails_v += 1
                 counterexamples.append({"property": "v", "m": m, "n": n})
-    for m in range(2, m_max + 1):
-        for n in range(2, n_max + 1):
-            if n % m <= 1 and character(n, m) != 0:
-                fails_iv += 1
-                counterexamples.append({"property": "iv", "m": m, "n": n})
+    counterexamples += [{"property": "iv", "m": m, "n": n} for m, n in zero_one]
+    fails_iv = len(zero_one)
     recorded_i = sum(1 for c in counterexamples if c["property"] == "i")
     notes = [
         f"(i) fails {total_i} times for m <= {m_max}, n <= {n_max}"

@@ -57,26 +57,21 @@ class CountSummary:
     has_ramifiers: bool
 
 
-def build_sieve(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> RamifierSieve:
-    """Mark every ramifier n in [2, x] for modulus m by progression marking.
+def _progressions(m: int, x: int):
+    """Yield (r, period, starts) for each inner modulus r of modulus m that
+    can witness an n <= x, ascending in r, with period = lcm(m, r).  The
+    pairs (n, r) of a witness with n <= x are the members n0, n0 + period,
+    ... <= x of the progressions that start at the n0 in ``starts``; the
+    members of one share the residues n0 % m and n0 % r.
 
-    n ramifies iff n = m - a2 (mod m) and n = a2 (mod r) for some r in [2, m)
-    and a2 in [1, r).  The least such n is c - a2 with c = m*(1 + t),
-    0 <= t < r/gcd(m, r), and 2*a2 = c (mod r), so per r the sieve walks the
+    n ramifies through r iff n = m - a2 (mod m) and n = a2 (mod r) with a2 in
+    [1, r).  The least such n is c - a2 with c = m*(1 + t),
+    0 <= t < r/gcd(m, r), and 2*a2 = c (mod r), so the walk takes the
     quotients c, not the residues: a2 is c*(r + 1)/2 mod r for odd r, and for
     even r and c it is c/2 mod r/2 or that plus r/2.  As n > m - r, only
-    r > m - x can mark an n <= x, and the walk takes at most x + min(m, x)
-    steps.  Each progression, period lcm(m, r), is one slice write into a
-    byte per n (one byte when the period exceeds x), which is why the budget
-    charges 8 bits per n.
+    r > m - x reaches an n <= x, and the walk takes at most x + min(m, x)
+    steps.  ``starts`` is in the order of the walk, not ascending.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    _check_budget(x, 8 * (x + 1), budget_bits)
-    flags = bytearray(x + 1)
-    ones = memoryview(b"\x01" * (x // m + 1))  # every period is a multiple of m
     for r in range(max(2, m - x + 1), m):
         period = m * r // math.gcd(m, r)
         stop = min(period + 1, x + r)  # c <= period, and c - a2 <= x needs c < x + r
@@ -88,6 +83,25 @@ def build_sieve(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> Ra
             cs = range(math.lcm(m, 2), stop, math.lcm(m, 2))
             starts = [c - a2 for c in cs if (a2 := c // 2 % h) and c - a2 <= x]
             starts += [n for c in cs if (n := c - c // 2 % h - h) <= x]
+        yield r, period, starts
+
+
+def build_sieve(m: int, x: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> RamifierSieve:
+    """Mark every ramifier n in [2, x] for modulus m by progression marking.
+
+    ``_progressions`` gives, per inner modulus r, the least member of every
+    progression of ramifiers that r witnesses.  Each progression, period
+    lcm(m, r), is one slice write into a byte per n (one byte when the
+    period exceeds x), which is why the budget charges 8 bits per n.
+    """
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    if x < 2:
+        raise ValueError("x must be >= 2")
+    _check_budget(x, 8 * (x + 1), budget_bits)
+    flags = bytearray(x + 1)
+    ones = memoryview(b"\x01" * (x // m + 1))  # every period is a multiple of m
+    for _, period, starts in _progressions(m, x):
         if period > x:
             for n in starts:
                 flags[n] = 1

@@ -45,10 +45,10 @@ def shift_by_point_calls(m_max, n_max):
 
 
 def factorial_shifts_by_point_calls(m_max, n_max):
-    """C11 (ii) and (v) by five point calls per (m, n), the route the
-    runner took before (ii) read a sieve row: the failure counts and every
-    failure in the runner's order."""
-    fails = {"ii": 0, "v": 0}
+    """C11 (ii), (v) and (iv) by point calls, the route the runner took
+    before (ii) and (iv) read a sieve row: the failure counts and every
+    failure in the runner's order, (ii) and (v) per n, then (iv)."""
+    fails = {"ii": 0, "v": 0, "iv": 0}
     found = []
     for m in range(2, min(m_max, 8) + 1):
         f = math.factorial(m)
@@ -59,6 +59,11 @@ def factorial_shifts_by_point_calls(m_max, n_max):
             if character(n * f, m) != character(n, m) * character(f, m):
                 fails["v"] += 1
                 found.append({"property": "v", "m": m, "n": n})
+    for m in range(2, m_max + 1):
+        for n in range(2, n_max + 1):
+            if n % m <= 1 and character(n, m) != 0:
+                fails["iv"] += 1
+                found.append({"property": "iv", "m": m, "n": n})
     return fails, found
 
 
@@ -311,6 +316,10 @@ class TestMagnification:
         r = claim_magnification(m_max, x)
         assert (r.params["instances"], r.counterexamples) == magnification_by_witnesses(m_max, x)
 
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            claim_magnification(5, 1)
+
     def test_filtered_instance(self):
         # gcd(|7-5|, 2) = 2, so (7, 5) must not enter the hypothesis set
         r = claim_magnification(5, 7)
@@ -370,14 +379,18 @@ class TestShiftBulkRoute:
 
 
 class TestFactorialShiftRowRoute:
-    @pytest.mark.parametrize("m_max, n_max", [(60, 3000), (8, 5), (3, 400), (12, 2)])
+    @pytest.mark.parametrize(
+        "m_max, n_max", [(60, 3000), (8, 5), (3, 400), (12, 2), (8, 200), (10, 200), (30, 600)]
+    )
     def test_matches_point_calls(self, m_max, n_max):
         fails, found = factorial_shifts_by_point_calls(m_max, n_max)
-        r = claim_character_properties(m_max, n_max)
         cap = min(m_max, 8)
-        assert f"(ii) exhaustive for m <= {cap}: {fails['ii']} failures" in r.notes
-        assert f"(v) exhaustive for m <= {cap}: {fails['v']} failures" in r.notes
-        assert [c for c in r.counterexamples if c["property"] in ("ii", "v")] == found
+        for max_counterexamples in (0, 1, 25):
+            r = claim_character_properties(m_max, n_max, max_counterexamples)
+            assert f"(ii) exhaustive for m <= {cap}: {fails['ii']} failures" in r.notes
+            assert f"(iv) exhaustive: {fails['iv']} failures" in r.notes
+            assert f"(v) exhaustive for m <= {cap}: {fails['v']} failures" in r.notes
+            assert [c for c in r.counterexamples if c["property"] != "i"] == found
 
 
 class TestThresholdScale:

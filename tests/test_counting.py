@@ -14,6 +14,7 @@ from ramify.counting import (
     _field_type,
     _low_bands,
     _low_moduli,
+    _progressions,
     build_sieve,
     count_ramifiers,
     low_band_counts,
@@ -21,7 +22,7 @@ from ramify.counting import (
     ramifier_counts,
     threshold,
 )
-from ramify.ramification import character
+from ramify.ramification import character, ramifier_witnesses
 
 
 def naive_is_ramifier(n, m):
@@ -252,6 +253,26 @@ class TestBuildSieve:
     def test_bit_range_guard(self):
         with pytest.raises(ValueError):
             build_sieve(5, 20).bit(21)
+
+
+class TestProgressions:
+    @pytest.mark.parametrize("m", range(2, 41))
+    def test_expand_to_the_witness_pairs(self, m):
+        # every member of every progression, as a pair (n, r), against the
+        # window scan of each n <= x; x at the edges of the bands n < m and
+        # n < 2m, where progressions start and first repeat
+        for x in sorted({2, m - 1, m, 2 * m - 1, 2 * m, 400} - {1}):
+            pairs, rs = [], []
+            for r, period, starts in _progressions(m, x):
+                assert period == math.lcm(m, r)
+                rs.append(r)
+                for n0 in starts:
+                    assert 2 <= n0 <= x and n0 - period < 2, (x, r, n0)  # the least member
+                    pairs += [(n, r) for n in range(n0, x + 1, period)]
+            assert rs == sorted(set(rs)), x
+            assert len(pairs) == len(set(pairs)), x  # no pair twice
+            expected = {(n, w.r) for n in range(2, x + 1) for w in ramifier_witnesses(n, m)}
+            assert set(pairs) == expected, x
 
 
 class TestCountSummary:
