@@ -71,6 +71,7 @@ OTHERS = [
     "claims --m-max 60 --x 3000 --format json",
     "claims --m-max 300 --x 10000 --format json",
     "goldbach --m-max 20000 --format json",
+    "goldbach --m-max 100000 --format json",
 ]
 
 #: Timed runs per side of each invocation outside the golden grid.

@@ -17,32 +17,73 @@ import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import __version__
 from .arith import DEFAULT_BUDGET_BITS, ResourceBudgetError, is_prime, prime_table
 from .claims import CLAIMS, ClaimInfo, Verdict, report_rows, run_claim
 from .counting import build_sieve, summarize_sieve
-from .ramification import admits_strong_ramifier, goldbach_counts, index_of
+from .ramification import StrongWitness, admits_strong_ramifier, goldbach_counts, index_of
 
 LIST_CAP = 10_000  # scan payloads above this many ramifiers are truncated
 
 
-def _envelope_json(argv: list[str], payload: Any) -> str:
-    """The stable wrapper around every machine-readable payload, as JSON."""
+class _Spliced(str):
+    """The JSON text of one payload value, as json.dumps(indent=2) writes it
+    at the payload's depth; _envelope_json writes it in place of the value."""
+
+
+_SPLICE = "<spliced {}>"  # the placeholder of a _Spliced payload value
+_ITEM_PAD = " " * 6  # the indent of a payload list's items
+
+
+def _envelope_json(argv: list[str], payload: dict[str, Any]) -> str:
+    """The stable wrapper around every machine-readable payload, as JSON.
+
+    The envelope is dumped with a placeholder string for each _Spliced
+    payload value, and each placeholder is then replaced by its text.  The
+    echoed command, the only text a caller chooses, sorts before "payload",
+    and a payload with _Spliced values holds no other text, so the last
+    occurrence of each placeholder is its own.
+    """
+    spliced = {key: value for key, value in payload.items() if isinstance(value, _Spliced)}
     envelope = {
         "tool_version": __version__,
         "command": "ramify " + " ".join(argv),
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "payload": payload,
+        "payload": {**payload, **{key: _SPLICE.format(key) for key in spliced}},
     }
-    return json.dumps(envelope, sort_keys=True, indent=2)
+    text = json.dumps(envelope, sort_keys=True, indent=2)
+    parts = []
+    for key in sorted(spliced, reverse=True):  # the placeholders from the last
+        text, _, tail = text.rpartition(json.dumps(_SPLICE.format(key)))
+        parts += [tail, spliced[key]]
+    return "".join([text, *reversed(parts)])
+
+
+def _row_template(value: Any) -> str:
+    """The JSON text of value as an item of a payload list, with each "%d"
+    string in it a %d slot; the slots follow the sorted keys."""
+    text = json.dumps(value, sort_keys=True, indent=2).replace('"%d"', "%d")
+    return _ITEM_PAD + text.replace("\n", "\n" + _ITEM_PAD)
+
+
+def _json_list(items: Iterable[str]) -> _Spliced:
+    """A payload list from the JSON text of its items, each at the list's depth.
+
+    The bulk lists are written this way because json.dumps with an indent
+    runs the pure-Python encoder, a generator call per value.
+    """
+    body = ",\n".join(items)
+    return _Spliced(f"[\n{body}\n    ]" if body else "[]")
 
 
 def _deliver(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)  # not text + "\n", a copy of a payload of many MB
+            if not text.endswith("\n"):
+                fh.write("\n")
     else:
         print(text)
 
@@ -75,35 +116,43 @@ def _cmd_check(args: argparse.Namespace, argv: list[str]) -> int:
     rec = index_of(n, m)
     indices = list(rec.all_indices) if rec else []
     a1, a2 = n % m, m - n % m
-    rows = [(m, n, a1, r, a2) for r in indices]  # one witness per index
-    if args.strong and rows and not (is_prime(a1) and is_prime(a2)):
-        rows = []
+    rs = indices  # one witness (m, n, a1, r, a2) per index r
+    if args.strong and rs and not (is_prime(a1) and is_prime(a2)):
+        rs = []
     keys = ("m", "n", "p1", "r", "p2") if args.strong else ("m", "n", "a1", "r", "a2")
     payload = {
         "n": n,
         "m": m,
         "strong": args.strong,
         "character": 1 if indices else 0,
-        "is_ramifier": bool(rows),
+        "is_ramifier": bool(rs),
         "index": indices[0] if indices else None,
-        "all_indices": indices,
     }
     kind = "strong ramifier" if args.strong else "ramifier"
     head = [
         f"n={n} mod m={m}: character {payload['character']}, "
-        + (kind if rows else f"not a {kind}")
+        + (kind if rs else f"not a {kind}")
     ]
     if indices:
         head.append(f"index {indices[0]}, all indices {indices}")
     line = "witness " + " ".join(f"{k}={{}}" for k in keys)  # "witness m={} n={} ..."
+
+    def json_payload() -> dict[str, Any]:
+        witness = _row_template(dict(zip(keys, (m, n, a1, "%d", a2))))  # r is the slot
+        return {
+            **payload,
+            "all_indices": _json_list(map(_row_template("%d").__mod__, indices)),
+            "witnesses": _json_list(map(witness.__mod__, rs)),
+        }
+
     _emit(
         args,
         argv,
-        lambda: {**payload, "witnesses": [dict(zip(keys, row)) for row in rows]},
-        lambda: head + [line.format(*row) for row in rows],
-        lambda: [keys] + rows,
+        json_payload,
+        lambda: head + [line.format(m, n, a1, r, a2) for r in rs],
+        lambda: [keys] + [(m, n, a1, r, a2) for r in rs],
     )
-    return 0 if rows else 1
+    return 0 if rs else 1
 
 
 def _cmd_scan(args: argparse.Namespace, argv: list[str]) -> int:
@@ -177,6 +226,26 @@ def _cmd_claims(args: argparse.Namespace, argv: list[str]) -> int:
     return 1 if failing else 0
 
 
+#: A row of the goldbach payload, with a certificate and without.
+_GOLDBACH_ROW = _row_template(
+    {"certificate": dict.fromkeys(("n", "p1", "p2", "r"), "%d"), "m": "%d", "partitions": "%d"}
+)
+_GOLDBACH_ROW_NULL = _row_template({"certificate": None, "m": "%d", "partitions": "%d"})
+
+
+def _goldbach_rows(
+    ms: Iterable[int], counts: Iterable[int], certs: Iterable[StrongWitness | None]
+) -> _Spliced:
+    """The goldbach payload's rows: each m with its partition count and
+    its certificate or null."""
+    return _json_list(
+        _GOLDBACH_ROW_NULL % (m, p)
+        if c is None
+        else _GOLDBACH_ROW % (c.n, c.p1, c.p2, c.r, m, p)
+        for m, p, c in zip(ms, counts, certs)
+    )
+
+
 def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
     if args.m_max < 4:
         print("--m-max must be >= 4", file=sys.stderr)
@@ -188,15 +257,8 @@ def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
     mismatches = sum(bool(p) != (c is not None) for p, c in zip(counts, certs))
 
     def payload() -> dict[str, Any]:
-        rows = [
-            {
-                "m": m,
-                "partitions": p,
-                "certificate": None if c is None else {"n": c.n, "p1": c.p1, "r": c.r, "p2": c.p2},
-            }
-            for m, p, c in zip(ms, counts, certs)
-        ]
-        return {"rows": rows, "checked": len(rows), "mismatches": mismatches}
+        rows = _goldbach_rows(ms, counts, certs)
+        return {"rows": rows, "checked": len(ms), "mismatches": mismatches}
 
     def text_lines() -> list[str]:
         lines = [

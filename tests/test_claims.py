@@ -1,11 +1,13 @@
 import inspect
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramify import claims
 from ramify.claims import (
     CLAIMS,
     Verdict,
@@ -324,6 +326,78 @@ class TestMagnification:
         # gcd(|7-5|, 2) = 2, so (7, 5) must not enter the hypothesis set
         r = claim_magnification(5, 7)
         assert all(not (c["n"] == 7 and c["m"] == 5) for c in r.counterexamples)
+
+
+def magnification_by_pairs(progressions, m_max, x):
+    """C9's (instances, counterexamples) from the (n, r) pairs that the
+    given _progressions stand for, one pair at a time, sorted by (m, n, r)."""
+    instances, counterexamples = 0, []
+    for m in range(2, m_max + 1):
+        for r, period, starts in progressions(m, x):
+            for n in (n for n0 in starts for n in range(n0, x + 1, period)):
+                a1 = n % m
+                if math.gcd(abs(n - m), a1) == 1:
+                    instances += 1
+                    if r % a1 and math.gcd(r, a1) != 1:
+                        counterexamples.append({"m": m, "n": n, "a1": a1, "r": r})
+    counterexamples.sort(key=lambda c: (c["m"], c["n"], c["r"]))
+    return instances, counterexamples
+
+
+def fabricated_progressions(m, x):
+    """Progressions that break C9, in no sorted order: a1 = 4 at m = 5 with
+    r = 10 and r = 6, each of which shares the factor 2 with a1 but is no
+    multiple of it; starts descend, and both r reach n = 44 and 74."""
+    if m == 3:
+        yield 4, 12, [2]  # a1 = 2 divides r: instances only
+    if m == 4:
+        yield 6, 12, [6]  # gcd(m, a1) = 2: outside the hypothesis
+    if m == 5:
+        yield 10, 20, [34, 24]
+        yield 6, 30, [14]
+        yield 6, x + 1, [4]  # one member, n < m
+
+
+class TestMagnificationFabricated:
+    """C9 finds no counterexample at any tested scale, so its list and its
+    sort are held on progressions made up to break the claim."""
+
+    def test_counterexamples_sorted(self, monkeypatch):
+        monkeypatch.setattr(claims, "_progressions", fabricated_progressions)
+        instances, expected = magnification_by_pairs(fabricated_progressions, 5, 100)
+        assert len(expected) == 12 and expected[0] == {"m": 5, "n": 4, "a1": 4, "r": 6}
+        r = claim_magnification(5, 100)
+        assert (r.params["instances"], r.counterexamples) == (instances, expected)
+        assert r.verdict == Verdict.FAILS_WITH_COUNTEREXAMPLE
+
+
+def sieve_with_zero_one_flags(m, x):
+    """build_sieve(m, x) with n = m + 1, 2m and 3m + 1 flagged besides, so
+    that C11 (iv) fails in both of its residue classes."""
+    flags = bytearray(build_sieve(m, x).flags)
+    for n in (m + 1, 2 * m, 3 * m + 1):
+        if n <= x:
+            flags[n] = 1
+    return types.SimpleNamespace(m=m, x=x, flags=bytes(flags))
+
+
+class TestZeroOneClassesFabricated:
+    """C11 (iv) holds at every tested scale; its list is held on sieves
+    with flags set in the classes 0 and 1."""
+
+    def test_both_classes_recorded(self, monkeypatch):
+        monkeypatch.setattr(claims, "build_sieve", sieve_with_zero_one_flags)
+        m_max, n_max = 6, 40
+        expected = [
+            {"property": "iv", "m": m, "n": n}
+            for m in range(2, m_max + 1)
+            for n, flag in enumerate(sieve_with_zero_one_flags(m, n_max + 2 * m).flags)
+            if 2 <= n <= n_max and n % m <= 1 and flag
+        ]
+        assert {"property": "iv", "m": 5, "n": 6} in expected  # class 1
+        r = claim_character_properties(m_max, n_max)
+        assert [c for c in r.counterexamples if c["property"] == "iv"] == expected
+        assert f"(iv) exhaustive: {len(expected)} failures" in r.notes
 
 
 class TestCharacterProperties:

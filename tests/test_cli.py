@@ -12,8 +12,15 @@ import pytest
 
 from clirun import run_cli, run_python
 
-from ramify import cli
+from ramify import __version__, cli
+from ramify.arith import prime_table
 from ramify.claims import CLAIMS
+from ramify.ramification import (
+    StrongWitness,
+    admits_strong_ramifier,
+    goldbach_partitions,
+    index_of,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -643,3 +650,143 @@ class TestEnvelope:
         env = json.loads(proc.stdout)
         assert list(env) == sorted(env)
         assert proc.stdout == json.dumps(env, sort_keys=True, indent=2) + "\n"
+
+
+def dumped_envelope(argv, payload):
+    """The envelope by the dict route: json.dumps of every value, rows as dicts."""
+    envelope = {
+        "tool_version": __version__,
+        "command": "ramify " + " ".join(argv),
+        "generated_at": "",
+        "payload": payload,
+    }
+    return json.dumps(envelope, sort_keys=True, indent=2)
+
+
+def goldbach_row_dicts(ms, counts, certs):
+    return [
+        {
+            "m": m,
+            "partitions": p,
+            "certificate": None if c is None else {"n": c.n, "p1": c.p1, "r": c.r, "p2": c.p2},
+        }
+        for m, p, c in zip(ms, counts, certs)
+    ]
+
+
+def goldbach_payload_by_dicts(m_max):
+    """The goldbach payload with the rows as dicts, as the CLI built it
+    before it wrote them from templates."""
+    primes = prime_table(m_max)
+    ms = range(4, m_max + 1, 2)
+    counts = [len(goldbach_partitions(m, primes)) for m in ms]
+    certs = [admits_strong_ramifier(m, primes) for m in ms]
+    rows = goldbach_row_dicts(ms, counts, certs)
+    mismatches = sum(bool(p) != (c is not None) for p, c in zip(counts, certs))
+    return {"rows": rows, "checked": len(rows), "mismatches": mismatches}
+
+
+def check_payload_by_dicts(n, m, strong):
+    rec = index_of(n, m)
+    indices = list(rec.all_indices) if rec else []
+    a1, a2 = n % m, m - n % m
+    keys = ("m", "n", "p1", "r", "p2") if strong else ("m", "n", "a1", "r", "a2")
+    rows = [dict(zip(keys, (m, n, a1, r, a2))) for r in indices]
+    if strong and rows and not (_is_prime(a1) and _is_prime(a2)):
+        rows = []
+    return {
+        "n": n,
+        "m": m,
+        "strong": strong,
+        "character": 1 if indices else 0,
+        "is_ramifier": bool(rows),
+        "index": indices[0] if indices else None,
+        "all_indices": indices,
+        "witnesses": rows,
+    }
+
+
+def main_to_file(args, out):
+    """cli.main(args + --out out) in this process: (exit code, file text)."""
+    code = cli.main([*args, "--out", str(out)])
+    return code, out.read_text()
+
+
+CERT = StrongWitness(m=10, n=5, p1=5, r=6, p2=5)
+
+
+class TestJsonRows:
+    """The bulk lists written from row templates, against json.dumps of the
+    rows as dicts: the same bytes, less the timestamp."""
+
+    @pytest.mark.parametrize(
+        "certs",
+        [
+            [CERT, StrongWitness(12, 7, 7, 8, 5), StrongWitness(14, 7, 7, 12, 7)],
+            [None, None, None],
+            [None, CERT, None, StrongWitness(123456, 98765, 98765, 4321, 24691), None],
+            [CERT],
+            [None],
+            [],
+        ],
+        ids=["certificates", "nulls", "mixed", "one-certificate", "one-null", "empty"],
+    )
+    def test_goldbach_rows(self, certs):
+        ms = range(4, 4 + 2 * len(certs), 2)
+        counts = [i * 7 for i in range(len(certs))]
+        got = cli._envelope_json(
+            ["goldbach"], {"rows": cli._goldbach_rows(ms, counts, certs), "checked": 3}
+        )
+        want = dumped_envelope(
+            ["goldbach"], {"rows": goldbach_row_dicts(ms, counts, certs), "checked": 3}
+        )
+        assert without_timestamp(got) == without_timestamp(want)
+
+    @pytest.mark.parametrize("m_max", [4, 6, 8, 200, 2000])
+    def test_goldbach_envelope(self, m_max, tmp_path):
+        args = ["goldbach", "--m-max", str(m_max), "--format", "json"]
+        out = tmp_path / "goldbach.json"
+        code, text = main_to_file(args, out)
+        assert code == 0
+        want = dumped_envelope(args + ["--out", str(out)], goldbach_payload_by_dicts(m_max))
+        assert without_timestamp(text) == without_timestamp(want) + "\n"
+
+    @pytest.mark.parametrize(
+        "n, m, strong",
+        [
+            (7, 5, False),  # one witness
+            (17, 5, False),  # none: both lists empty
+            (5229, 374, True),  # two strong witnesses
+            (5229, 374, False),
+            (3819154902, 7655, True),  # indices, but residues not both prime
+            (50, 100, False),  # n = m/2: 49 witnesses
+        ],
+    )
+    def test_check_envelope(self, n, m, strong, tmp_path):
+        args = ["check", str(n), str(m), "--json"] + ["--strong"] * strong
+        out = tmp_path / "check.json"
+        code, text = main_to_file(args, out)
+        payload = check_payload_by_dicts(n, m, strong)
+        assert code == (0 if payload["is_ramifier"] else 1)
+        want = dumped_envelope(args + ["--out", str(out)], payload)
+        assert without_timestamp(text) == without_timestamp(want) + "\n"
+
+    @pytest.mark.parametrize(
+        "args, key, payload",
+        [
+            (["goldbach", "--m-max", "8", "--json"], "rows", lambda: goldbach_payload_by_dicts(8)),
+            (["check", "7", "5", "--json"], "witnesses", lambda: check_payload_by_dicts(7, 5, False)),
+            (["check", "7", "5", "--json"], "all_indices", lambda: check_payload_by_dicts(7, 5, False)),
+        ],
+    )
+    def test_out_path_with_the_placeholder_text(self, args, key, payload, tmp_path):
+        # the path ends with a quote and the placeholder's text, so the echoed
+        # command holds the placeholder's JSON string: a splice at the first
+        # occurrence would write the list into the command
+        out = tmp_path / ('back\\slash"' + cli._SPLICE.format(key))
+        code, text = main_to_file(args, out)
+        env = json.loads(text)
+        assert env["command"] == "ramify " + " ".join(args + ["--out", str(out)])
+        assert without_timestamp(text) == without_timestamp(
+            dumped_envelope(args + ["--out", str(out)], payload())
+        ) + "\n"
