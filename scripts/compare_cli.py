@@ -72,6 +72,7 @@ OTHERS = [
     "claims --m-max 300 --x 10000 --format json",
     "goldbach --m-max 20000 --format json",
     "goldbach --m-max 100000 --format json",
+    "scan --m 37 --x 3000000 --format csv",
 ]
 
 #: Timed runs per side of each invocation outside the golden grid.

@@ -5,19 +5,23 @@ Text output goes to stdout for humans; JSON (stable key order) and CSV
 are the machine interfaces.  Every machine payload is wrapped in an
 envelope carrying the tool version, the echoed invocation, and a
 timestamp.  Exit codes: 0 affirmative/success, 1 negative result or
-claim failure, 2 usage error, 3 resource budget exceeded.
+claim failure, 2 usage error or unwritable --out, 3 resource budget
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import nullcontext
 from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Any, Callable, Iterable
+from itertools import chain, islice
+from typing import IO, Any
 
 from . import __version__
 from .arith import DEFAULT_BUDGET_BITS, ResourceBudgetError, is_prime, prime_table
@@ -27,38 +31,42 @@ from .ramification import StrongWitness, admits_strong_ramifier, goldbach_counts
 
 LIST_CAP = 10_000  # scan payloads above this many ramifiers are truncated
 
-
-class _Spliced(str):
-    """The JSON text of one payload value, as json.dumps(indent=2) writes it
-    at the payload's depth; _envelope_json writes it in place of the value."""
-
-
-_SPLICE = "<spliced {}>"  # the placeholder of a _Spliced payload value
+_SPLICE = "<spliced {}>"  # the placeholder of a bulk payload list
 _ITEM_PAD = " " * 6  # the indent of a payload list's items
+_BATCH = 4096  # lines or list items joined into one write, not a write call each
 
 
-def _envelope_json(argv: list[str], payload: dict[str, Any]) -> str:
-    """The stable wrapper around every machine-readable payload, as JSON.
+def _write_envelope(fh: IO[str], argv: list[str], payload: dict[str, Any]) -> None:
+    """Write the stable wrapper around every machine-readable payload, as JSON.
 
-    The envelope is dumped with a placeholder string for each _Spliced
-    payload value, and each placeholder is then replaced by its text.  The
+    A payload value that is an iterator is a bulk list of the JSON texts of
+    its items (see _row_template): json.dumps with an indent runs the
+    pure-Python encoder, a generator call per value.  The rest is dumped with
+    a placeholder string for each bulk list, written in its place.  The
     echoed command, the only text a caller chooses, sorts before "payload",
-    and a payload with _Spliced values holds no other text, so the last
+    and a payload with bulk lists holds no other text, so the last
     occurrence of each placeholder is its own.
     """
-    spliced = {key: value for key, value in payload.items() if isinstance(value, _Spliced)}
+    bulk = {key: value for key, value in payload.items() if isinstance(value, Iterator)}
     envelope = {
         "tool_version": __version__,
         "command": "ramify " + " ".join(argv),
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "payload": {**payload, **{key: _SPLICE.format(key) for key in spliced}},
+        "payload": {**payload, **{key: _SPLICE.format(key) for key in bulk}},
     }
     text = json.dumps(envelope, sort_keys=True, indent=2)
-    parts = []
-    for key in sorted(spliced, reverse=True):  # the placeholders from the last
+    tails = []
+    for key in sorted(bulk, reverse=True):  # the placeholders from the last
         text, _, tail = text.rpartition(json.dumps(_SPLICE.format(key)))
-        parts += [tail, spliced[key]]
-    return "".join([text, *reversed(parts)])
+        tails.append((bulk[key], tail))
+    fh.write(text)
+    for items, tail in reversed(tails):
+        sep = "[\n"
+        while batch := list(islice(items, _BATCH)):
+            fh.write(sep + ",\n".join(batch))
+            sep = ",\n"
+        fh.write(("[]" if sep == "[\n" else "\n    ]") + tail)
+    fh.write("\n")
 
 
 def _row_template(value: Any) -> str:
@@ -68,44 +76,37 @@ def _row_template(value: Any) -> str:
     return _ITEM_PAD + text.replace("\n", "\n" + _ITEM_PAD)
 
 
-def _json_list(items: Iterable[str]) -> _Spliced:
-    """A payload list from the JSON text of its items, each at the list's depth.
-
-    The bulk lists are written this way because json.dumps with an indent
-    runs the pure-Python encoder, a generator call per value.
-    """
-    body = ",\n".join(items)
-    return _Spliced(f"[\n{body}\n    ]" if body else "[]")
-
-
-def _deliver(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)  # not text + "\n", a copy of a payload of many MB
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
-
-
 def _emit(
     args: argparse.Namespace,
     argv: list[str],
-    payload: Callable[[], Any],
-    text_lines: Callable[[], list[str]],
-    csv_rows: Callable[[], list[list]],
+    payload: Callable[[], dict[str, Any]],
+    text_lines: Callable[[], Iterable[str]],
+    csv_rows: Callable[[], Iterable[Iterable]],
 ) -> None:
-    """Print the output the format asks for; each output is built by its
-    zero-argument callable, and only the printed one is built."""
-    fmt = "json" if args.json else args.format
-    if fmt == "json" or (args.out and fmt == "text"):
-        _deliver(_envelope_json(argv, payload()), args.out)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows())
-        _deliver(buf.getvalue().rstrip("\n"), args.out)
-    else:
-        _deliver("\n".join(text_lines()), args.out)
+    """Write the output the format asks for into --out, or sys.stdout as it
+    is at call time, as it is built; each output comes from its zero-argument
+    callable, and only the written one is built.  A reader that closes stdout
+    early (`| head`) ends the output, and the command keeps its exit code."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        through = getattr(fh, "write_through", False)  # stdout under PYTHONUNBUFFERED
+        if through:  # hold the writes in the text layer: a syscall per 8 KB, not per row
+            fh.reconfigure(write_through=False)
+        try:
+            if args.format == "json" or (args.out and args.format == "text"):
+                _write_envelope(fh, argv, payload())
+            elif args.format == "csv":
+                csv.writer(fh, lineterminator="\n").writerows(csv_rows())
+            else:
+                lines = iter(text_lines())
+                while batch := list(islice(lines, _BATCH)):
+                    fh.write("\n".join(batch) + "\n")
+            fh.flush()
+        except BrokenPipeError:
+            # Python flushes stdout at exit; into os.devnull no second error follows
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        finally:
+            if through:
+                fh.reconfigure(write_through=True)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -141,16 +142,16 @@ def _cmd_check(args: argparse.Namespace, argv: list[str]) -> int:
         witness = _row_template(dict(zip(keys, (m, n, a1, "%d", a2))))  # r is the slot
         return {
             **payload,
-            "all_indices": _json_list(map(_row_template("%d").__mod__, indices)),
-            "witnesses": _json_list(map(witness.__mod__, rs)),
+            "all_indices": map(_row_template("%d").__mod__, indices),
+            "witnesses": map(witness.__mod__, rs),
         }
 
     _emit(
         args,
         argv,
         json_payload,
-        lambda: head + [line.format(m, n, a1, r, a2) for r in rs],
-        lambda: [keys] + [(m, n, a1, r, a2) for r in rs],
+        lambda: chain(head, (line.format(m, n, a1, r, a2) for r in rs)),
+        lambda: chain([keys], ((m, n, a1, r, a2) for r in rs)),
     )
     return 0 if rs else 1
 
@@ -174,7 +175,7 @@ def _cmd_scan(args: argparse.Namespace, argv: list[str]) -> int:
         argv,
         lambda: payload,
         lambda: lines,
-        lambda: [["n", "character"]] + [[n, sieve.flags[n]] for n in range(2, args.x + 1)],
+        lambda: chain([("n", "character")], enumerate(sieve.flags[2:], 2)),
     )
     return 0
 
@@ -235,10 +236,10 @@ _GOLDBACH_ROW_NULL = _row_template({"certificate": None, "m": "%d", "partitions"
 
 def _goldbach_rows(
     ms: Iterable[int], counts: Iterable[int], certs: Iterable[StrongWitness | None]
-) -> _Spliced:
-    """The goldbach payload's rows: each m with its partition count and
-    its certificate or null."""
-    return _json_list(
+) -> Iterator[str]:
+    """The JSON text of the goldbach payload's rows: each m with its
+    partition count and its certificate or null."""
+    return (
         _GOLDBACH_ROW_NULL % (m, p)
         if c is None
         else _GOLDBACH_ROW % (c.n, c.p1, c.p2, c.r, m, p)
@@ -260,23 +261,17 @@ def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
         rows = _goldbach_rows(ms, counts, certs)
         return {"rows": rows, "checked": len(ms), "mismatches": mismatches}
 
-    def text_lines() -> list[str]:
-        lines = [
-            f"m={m}: {p} partitions, "
-            + ("NONE" if c is None else f"n={c.n} p1={c.p1} r={c.r} p2={c.p2}")
-            for m, p, c in zip(ms, counts, certs)
-        ]
-        lines.append(f"equivalence counterexamples: {mismatches}")
-        return lines
+    def text_lines() -> Iterator[str]:
+        for m, p, c in zip(ms, counts, certs):
+            yield f"m={m}: {p} partitions, " + (
+                "NONE" if c is None else f"n={c.n} p1={c.p1} r={c.r} p2={c.p2}"
+            )
+        yield f"equivalence counterexamples: {mismatches}"
 
-    def csv_rows() -> list[list]:
-        header = [
-            "m", "partitions", "certificate_n", "certificate_p1", "certificate_r", "certificate_p2"
-        ]
-        return [header] + [
-            [m, p] + (["", "", "", ""] if c is None else [c.n, c.p1, c.r, c.p2])
-            for m, p, c in zip(ms, counts, certs)
-        ]
+    def csv_rows() -> Iterator[list]:
+        yield ["m", "partitions"] + [f"certificate_{k}" for k in ("n", "p1", "r", "p2")]
+        for m, p, c in zip(ms, counts, certs):
+            yield [m, p] + (["", "", "", ""] if c is None else [c.n, c.p1, c.r, c.p2])
 
     _emit(args, argv, payload, text_lines, csv_rows)
     return 1 if mismatches else 0
@@ -287,11 +282,15 @@ def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    fmt = common.add_mutually_exclusive_group()
+    fmt.add_argument(
         "--format", choices=("text", "json", "csv"), default="text",
         help="output format (default text)",
     )
-    common.add_argument("--json", action="store_true", help="shorthand for --format json")
+    fmt.add_argument(
+        "--json", action="store_const", const="json", dest="format",
+        help="shorthand for --format json",
+    )
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
 
     parser = argparse.ArgumentParser(
@@ -354,6 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         # within --budget-bits, but more than the host can allocate
         print("resource budget exceeded: out of memory", file=sys.stderr)
         return 3
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2

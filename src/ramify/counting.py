@@ -319,21 +319,6 @@ def multi_modulus_ramifiers(x: int) -> list[tuple[int, list[int]]]:
     return [(n, ms) for n, ms in enumerate(moduli) if len(ms) >= 2]
 
 
-def low_band_counts(x: int) -> array:
-    """For every n in [0, x], the number of moduli m in [2, x] that hold n in
-    their closed-form bands n < 2m; each such n is a proved ramifier of m.
-
-    O(x) time and memory: a few ranges of m per n, and a 32-bit counter per
-    n, charged against the budget.
-    """
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    _check_budget(x, 32 * (x + 2), DEFAULT_BUDGET_BITS)
-    counts = array("i", bytes(8))  # n = 0 and 1 are in no band
-    counts.extend(sum(map(len, _low_moduli(n, x))) for n in range(2, x + 1))
-    return counts
-
-
 def threshold(x: int) -> int:
     """floor(x / sqrt(x - ln x)) + 1, the crossover modulus scale below which
     the claimed lower bound would overtake the claimed ceiling."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramify import claims
+from ramify.arith import ResourceBudgetError
 from ramify.claims import (
     CLAIMS,
     Verdict,
@@ -282,6 +283,15 @@ class TestPigeonhole:
     def test_x100(self):
         assert claim_pigeonhole(100).actual > 0
 
+    def test_budget_charges_32_bits_per_n(self):
+        # 32 bits per n in [0, x + 1]; the default budget is 2**30 bits
+        with pytest.raises(ResourceBudgetError):
+            claim_pigeonhole(2**25 - 1)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            claim_pigeonhole(1)
+
 
 class TestPigeonholeBulkRoute:
     def test_matches_multi_modulus_list(self):
@@ -510,3 +520,9 @@ class TestReplay:
         assert not replay_counterexample("C13", {"x": 20, "m": 3, "n": 4})
         assert not replay_counterexample("C9", {"m": 5, "n": 7, "a1": 2, "r": 4})
         assert not replay_counterexample("C4", {})
+
+    def test_c8_replays_by_the_point_predicate(self):
+        # no n <= 2 ramifies in two moduli; n = 3 does in 4 and 6
+        assert replay_counterexample("C8", {"x": 2})
+        assert replay_counterexample("C8", {"x": 5})
+        assert not replay_counterexample("C8", {"x": 6})

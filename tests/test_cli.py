@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from clirun import run_cli, run_python
+from clirun import popen_cli, run_cli, run_python
 
 from ramify import __version__, cli
 from ramify.arith import prime_table
@@ -543,7 +543,7 @@ class TestClaims:
         assert (report["claim_id"], report["actual"]) == ("C3", 0)
 
     def test_c8_beyond_its_counters_exit_3(self):
-        # a 32-bit counter per n in [0, x + 1] passes 2**30 bits at x = 2**25 - 1
+        # C8's charge of 32 bits per n in [0, x + 1] passes 2**30 bits at x = 2**25 - 1
         proc = run_cli("claims", "--ids", "C8", "--x", str(2**25 - 1))
         assert proc.returncode == 3
         assert "budget" in proc.stderr
@@ -581,6 +581,24 @@ def test_flag_outside_its_subcommand_exit_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "unrecognized arguments" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("scan", "--m", "5", "--x", "20", "--format", "csv", "--json"),
+        ("check", "7", "5", "--json", "--format", "text"),
+        ("goldbach", "--m-max", "10", "--format", "json", "--json"),
+    ],
+    ids=["scan-csv", "check-text", "goldbach-json"],
+)
+def test_json_and_format_conflict_exit_2(args):
+    # --json is --format json, so the two together are one flag given twice
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "not allowed with argument" in proc.stderr
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
 
 
@@ -734,13 +752,14 @@ class TestJsonRows:
     def test_goldbach_rows(self, certs):
         ms = range(4, 4 + 2 * len(certs), 2)
         counts = [i * 7 for i in range(len(certs))]
-        got = cli._envelope_json(
-            ["goldbach"], {"rows": cli._goldbach_rows(ms, counts, certs), "checked": 3}
+        got = io.StringIO()
+        cli._write_envelope(
+            got, ["goldbach"], {"rows": cli._goldbach_rows(ms, counts, certs), "checked": 3}
         )
         want = dumped_envelope(
             ["goldbach"], {"rows": goldbach_row_dicts(ms, counts, certs), "checked": 3}
         )
-        assert without_timestamp(got) == without_timestamp(want)
+        assert without_timestamp(got.getvalue()) == without_timestamp(want) + "\n"
 
     @pytest.mark.parametrize("m_max", [4, 6, 8, 200, 2000])
     def test_goldbach_envelope(self, m_max, tmp_path):
@@ -790,3 +809,118 @@ class TestJsonRows:
         assert without_timestamp(text) == without_timestamp(
             dumped_envelope(args + ["--out", str(out)], payload())
         ) + "\n"
+
+
+def main_to_stdout(args):
+    """cli.main(args) in this process: (exit code, stdout less its timestamp)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(args)
+    return code, without_timestamp(out.getvalue())
+
+
+@pytest.fixture(params=[True, False], ids=["unbuffered", "buffered"])
+def stdout_buffering(request, monkeypatch):
+    """Child processes started with PYTHONUNBUFFERED=1, then without it."""
+    if request.param:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+
+
+class TestWriter:
+    """Each output written into its target as it is built."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5, 6])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["goldbach", "--m-max", "12"],  # five rows and the summary line
+            ["goldbach", "--m-max", "12", "--json"],
+            ["check", "8", "16", "--json"],  # n = m/2: seven witnesses
+            ["check", "8", "16"],
+        ],
+    )
+    def test_bytes_do_not_depend_on_the_batch(self, args, batch, monkeypatch):
+        # lists shorter than a batch, as long, and longer by one and more
+        want = main_to_stdout(args)
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        assert main_to_stdout(args) == want
+
+    @pytest.mark.parametrize("count", range(8))
+    def test_short_lists_match_json_dumps(self, count, monkeypatch):
+        monkeypatch.setattr(cli, "_BATCH", 3)
+        certs = [CERT if i % 2 else None for i in range(count)]
+        ms, counts = range(4, 4 + 2 * count, 2), range(count)
+        got = io.StringIO()
+        cli._write_envelope(got, ["goldbach"], {"rows": cli._goldbach_rows(ms, counts, certs)})
+        want = dumped_envelope(["goldbach"], {"rows": goldbach_row_dicts(ms, counts, certs)})
+        assert without_timestamp(got.getvalue()) == without_timestamp(want) + "\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "50000", "100000"),  # 50,000 witness lines
+            ("check", "50000", "100000", "--format", "json"),
+            ("scan", "--m", "37", "--x", "20000", "--format", "csv"),
+            ("goldbach", "--m-max", "20000"),
+        ],
+        ids=["check-text", "check-json", "scan-csv", "goldbach-text"],
+    )
+    def test_stdout_bytes_do_not_depend_on_pythonunbuffered(self, args, monkeypatch):
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        unbuffered = run_cli(*args)
+        monkeypatch.delenv("PYTHONUNBUFFERED")
+        buffered = run_cli(*args)
+        assert unbuffered.returncode == buffered.returncode == 0
+        assert without_timestamp(unbuffered.stdout) == without_timestamp(buffered.stdout)
+        assert len(buffered.stdout) > 1 << 16
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_closed_stdout_keeps_the_exit_code(self, fmt, stdout_buffering):
+        # n = m/2 has 99,999 witnesses, some MB in every format, far over a
+        # pipe's 64 KB: the writer is blocked on a full pipe when its reader
+        # goes, as under `| head -1`
+        proc = popen_cli("check", "100000", "200000", "--format", fmt)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert first in ("n=100000 mod m=200000: character 1, ramifier\n", "{\n", "m,n,a1,r,a2\n")
+        assert proc.returncode == 0
+        assert stderr == ""
+
+    def test_stdout_closed_before_the_first_write(self, stdout_buffering):
+        # an output shorter than one buffer meets the closed pipe only when
+        # it is flushed, which must happen inside the command, not at exit
+        proc = popen_cli("check", "17", "5")
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert stderr == ""
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_exit_2(self, where, tmp_path):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "f.json"
+        proc = run_cli("check", "7", "5", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert str(out) in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("scan", "--m", "37", "--x", "200000000", "--format", "csv"),
+            ("check", "1000000000", "2000000000", "--format", "json"),
+            ("goldbach", "--m-max", str(2**27)),
+            ("claims", "--ids", "C8", "--x", str(2**25 - 1)),
+        ],
+        ids=["scan", "check", "goldbach", "claims"],
+    )
+    def test_no_out_file_after_exit_3(self, args, tmp_path):
+        # every budget check runs before the output file is opened
+        out = tmp_path / "out"
+        proc = run_cli(*args, "--out", str(out))
+        assert proc.returncode == 3
+        assert "budget" in proc.stderr
+        assert not out.exists()

@@ -17,7 +17,6 @@ from ramify.counting import (
     _progressions,
     build_sieve,
     count_ramifiers,
-    low_band_counts,
     multi_modulus_ramifiers,
     ramifier_counts,
     threshold,
@@ -487,32 +486,23 @@ class TestLowModuli:
             for n in range(2, x + 1):
                 assert [m for ms in _low_moduli(n, x) for m in ms] == inverse[n], (n, x)
 
-
-class TestLowBandCounts:
     def test_matches_naive(self, naive_sets_200):
         # every modulus m <= x whose ramifiers include n with n < 2m
         for x in range(2, 201):
-            expected = [0] * (x + 1)
+            expected = [[] for _ in range(x + 1)]
             for m in range(2, x + 1):
                 for n in naive_sets_200[m]:
                     if n >= min(2 * m, x + 1):
                         break
-                    expected[n] += 1
-            assert list(low_band_counts(x)) == expected, x
+                    expected[n].append(m)
+            for n in range(2, x + 1):
+                assert [m for ms in _low_moduli(n, x) for m in ms] == expected[n], (n, x)
 
     def test_only_n2_below_two_bands(self):
+        # C8 settles every other n by its band moduli alone
         for x in (10, 2500, 3000, 5000):
-            counts = low_band_counts(x)
-            assert [n for n in range(2, x + 1) if counts[n] < 2] == [2], x
-
-    def test_budget_charges_32_bits_per_n(self):
-        # a 32-bit counter per n in [0, x + 1]; the default budget is 2**30 bits
-        with pytest.raises(ResourceBudgetError):
-            low_band_counts(2**25 - 1)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            low_band_counts(1)
+            few = [n for n in range(2, x + 1) if sum(map(len, _low_moduli(n, x))) < 2]
+            assert few == [2], x
 
 
 class TestThreshold:
