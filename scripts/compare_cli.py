@@ -70,6 +70,8 @@ CHECKS = [
 OTHERS = [
     "claims --m-max 60 --x 3000 --format json",
     "claims --m-max 300 --x 10000 --format json",
+    "claims --ids C10,C11 --m-max 1000 --x 10000 --format json",
+    "claims --m-max 300 --x 100 --format csv",  # C10 rows with m > x
     "goldbach --m-max 20000 --format json",
     "goldbach --m-max 100000 --format json",
     "scan --m 37 --x 3000000 --format csv",

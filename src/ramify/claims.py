@@ -24,9 +24,11 @@ Claims that only count read bulk answers: C5 takes its partition counts
 from the prime bitset (``goldbach_counts``), C8 its count from the
 closed-form band counts, C9 its witness pairs (n, r) from the sieve's
 progressions (``counting._progressions``), one member at a time only
-where a progression has one, and C11 properties (i), (ii) and (iv) one
-sieve row per modulus.  Replays stay on the point predicates, so each
-replay re-derives a recorded violation independently of the bulk route.
+where a progression has one, C10 and C11 properties (i) and (iv) the flag
+row of each modulus from one packed divisor sweep (``counting.rows``),
+and C11 (ii) one sieve row per modulus m <= 8.  Replays stay on the point
+predicates, so each replay re-derives a recorded violation independently
+of the bulk route.
 
 Sweeps iterate ascending (m, then n, then r), so reports are
 byte-reproducible.
@@ -48,6 +50,8 @@ from .counting import (
     build_sieve,
     count_ramifiers,
     ramifier_counts,
+    rows,
+    summarize_sieve,
     threshold,
 )
 from .ramification import (
@@ -453,9 +457,10 @@ def claim_circle(
     x (sqrt(x - log x) - 1) / sqrt(x - log x)."""
     cells, claimed, actual, notes = [], [], [], []
     empty = 0
-    for m in range(2, m_max + 1):
-        for x in x_values:
-            s = count_ramifiers(m, x)
+    per_x = [list(map(summarize_sieve, rows(x, 2, m_max))) for x in x_values]
+    for column in zip(*per_x):  # the summaries of one m, one per x
+        for s in column:
+            m, x = s.m, s.x
             root = math.sqrt(x - math.log(x))
             bound = x * (root - 1) / root
             cells.append({"m": m, "x": x})
@@ -497,10 +502,11 @@ def claim_character_properties(
     total_i = 0
     zero_one: list[tuple[int, int]] = []  # the (m, n) of (iv) that ramify
     in_range = (1 << max(n_max + 1, 2)) - 4  # the bits of n in [2, n_max]
-    for m in range(2, m_max + 1):
+    # every flag read below lies in [0, n_max + 2m], a prefix of each row
+    for sieve in rows(n_max + 2 * m_max, 2, m_max):
         # flags[n] and bit n of v are character(n, m); bit n of v >> 2m is
         # character(n + 2m, m)
-        flags = build_sieve(m, n_max + 2 * m).flags
+        m, flags = sieve.m, sieve.flags
         zero_one += sorted(
             (m, n)
             for a in (0, 1)  # the flags of 0 and 1 are 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -277,6 +278,16 @@ def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
     return 1 if mismatches else 0
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise when it is
+    a directory or its directory is missing, before any work and without
+    creating the file, so that an input that exits 3 still leaves none."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 # --- parser ------------------------------------------------------------------
 
 
@@ -345,6 +356,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.subcommand == "claims" and args.ids == []:
         parser.error("--ids names no claim")
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args, argv)
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)

@@ -208,7 +208,8 @@ def _low_moduli(n: int, x: int) -> list[range]:
 
 def _field_type(x: int) -> str:
     """The array typecode of the sweep's fields: 16 bits while the guard bit
-    2**15 exceeds x, else 32, which holds the x < 2**19 the budget admits."""
+    2**15 exceeds x, else 32, which holds every x below the 2**22 that the
+    budgets of ramifier_counts and rows admit."""
     return "H" if x < 1 << 15 else "I"
 
 
@@ -282,6 +283,57 @@ def ramifier_counts(x: int, m_lo: int, m_hi: int) -> list[int]:
     ]
 
 
+def _run_flags(guards: int, fields: int, width: int) -> bytes:
+    """One byte per field of a run of ``_sweep``: 1 where the field's guard
+    bit is set, else 0; width is the field's size in bytes."""
+    # every byte of a field holds its guard bit, so one byte per field is its
+    # flag, whichever end of the field it is
+    spread = (guards >> (8 * width - 1)) * int.from_bytes(b"\x01" * width, "little")
+    return spread.to_bytes(width * fields, sys.byteorder)[::width]
+
+
+#: Bits rows charges per n in [0, x].  The sweep holds its two planes and
+#: the ramp, b = 16 or 32 bits per n each, the guard mask of b/2 and the two
+#: runs of one modulus, b/2 each with the slice of its ramp; a run's flags
+#: take b/2 bits as bytes and 4 as one byte per field, and the row and its
+#: bytes 8 each.  tracemalloc measures a peak of 132-139 bits per n with
+#: b = 16 (x = 3,000 and 10**4) and 238-239 with b = 32 (x = 4*10**4 and
+#: 10**5); C11, which holds a row's bitset and the previous row beside the
+#: sweep, peaks at 263 at x = 10**5.  The charge caps x below 2**30 / 320,
+#: about 3.36 million.
+_ROW_BITS_PER_N = 320
+
+
+def rows(x: int, m_lo: int, m_hi: int):
+    """Yield the RamifierSieve of each m = m_lo..m_hi over [0, x], ascending
+    in m, with the flags of build_sieve(m, x), read off one packed sweep.
+
+    The bands n < 2m are slices of ones (``_low_bands``); each run of the
+    sweep's bands q >= 2 becomes one flag byte per field, placed band by
+    band, or column by column (field i of every band, a stride of 2m in n)
+    where a run has fewer columns than bands.
+    """
+    if m_lo < 2:
+        raise ValueError("m must be >= 2")
+    if x < 2:
+        raise ValueError("x must be >= 2")
+    _check_budget(x, _ROW_BITS_PER_N * (x + 1), DEFAULT_BUDGET_BITS)
+    width = array(_field_type(x)).itemsize
+    for m, runs in _sweep(x, m_lo, m_hi):
+        row = bytearray(x + 1)
+        for band in _low_bands(m, x):
+            row[band.start : band.stop] = b"\x01" * len(band)
+        for start, fields, guards in runs:
+            flags = _run_flags(guards, fields, width)
+            if m * m < fields:
+                for i in range(m - 2):  # the last two fields of a band are a1 = 0, 1
+                    row[start + i :: 2 * m] = flags[i::m]
+            else:
+                for p in range(0, fields, m):  # the band of n = start + 2p
+                    row[start + 2 * p : start + 2 * p + m - 2] = flags[p : p + m - 2]
+        yield RamifierSieve(m=m, x=x, flags=bytes(row))
+
+
 #: Bits multi_modulus_ramifiers charges per pair (n, m) with n, m <= x.  Its
 #: lists hold about 0.4*x**2 moduli, each an 8-byte slot, with up to 1/8 more
 #: for over-allocation: about 29 bits per pair, since the moduli themselves
@@ -298,14 +350,10 @@ def multi_modulus_ramifiers(x: int) -> list[tuple[int, list[int]]]:
         raise ValueError("x must be >= 2")
     _check_budget(x, _MULTI_BITS_PER_PAIR * x * x, DEFAULT_BUDGET_BITS)
     width = array(_field_type(x)).itemsize
-    shift, spread = 8 * width - 1, int.from_bytes(b"\x01" * width, "little")
     moduli: list[list[int]] = [[] for _ in range(x + 1)]
     for m, runs in _sweep(x, 2, x):  # ascending m keeps each list sorted
         for start, fields, guards in runs:
-            # every byte of a field holds its guard bit, so one byte per field
-            # is its flag, whichever end of the field it is
-            spread_guards = (guards >> shift) * spread
-            flags = spread_guards.to_bytes(width * fields, sys.byteorder)[::width]
+            flags = _run_flags(guards, fields, width)
             for p in range(0, fields, m):  # the band of n = start + 2p, ...
                 n = start + 2 * p
                 for ms in compress(moduli[n : n + m - 2], flags[p : p + m - 2]):

@@ -29,7 +29,7 @@ from ramify.claims import (
     replay_report,
     run_claim,
 )
-from ramify.counting import build_sieve, multi_modulus_ramifiers, threshold
+from ramify.counting import build_sieve, count_ramifiers, multi_modulus_ramifiers, threshold
 from ramify.ramification import admits_ramifier, character, ramifier_witnesses
 
 
@@ -391,12 +391,17 @@ def sieve_with_zero_one_flags(m, x):
     return types.SimpleNamespace(m=m, x=x, flags=bytes(flags))
 
 
+def rows_with_zero_one_flags(x, m_lo, m_hi):
+    """counting.rows with the rows of sieve_with_zero_one_flags."""
+    return (sieve_with_zero_one_flags(m, x) for m in range(m_lo, m_hi + 1))
+
+
 class TestZeroOneClassesFabricated:
-    """C11 (iv) holds at every tested scale; its list is held on sieves
+    """C11 (iv) holds at every tested scale; its list is held on rows
     with flags set in the classes 0 and 1."""
 
     def test_both_classes_recorded(self, monkeypatch):
-        monkeypatch.setattr(claims, "build_sieve", sieve_with_zero_one_flags)
+        monkeypatch.setattr(claims, "rows", rows_with_zero_one_flags)
         m_max, n_max = 6, 40
         expected = [
             {"property": "iv", "m": m, "n": n}
@@ -408,6 +413,76 @@ class TestZeroOneClassesFabricated:
         r = claim_character_properties(m_max, n_max)
         assert [c for c in r.counterexamples if c["property"] == "iv"] == expected
         assert f"(iv) exhaustive: {len(expected)} failures" in r.notes
+
+
+def circle_by_sieves(m_max, x_values):
+    """C10's cells, claimed and actual values and notes by one sieve per
+    (m, x), the loop the runner ran before it read one sweep's rows per x."""
+    cells, claimed, actual, notes, empty = [], [], [], [], 0
+    for m in range(2, m_max + 1):
+        for x in x_values:
+            s = count_ramifiers(m, x)
+            root = math.sqrt(x - math.log(x))
+            bound = x * (root - 1) / root
+            cells.append({"m": m, "x": x})
+            claimed.append(bound)
+            actual.append(s.radius)
+            if not s.has_ramifiers:
+                empty += 1
+            elif s.radius > bound:
+                notes.append(
+                    f"radius exceeds the bound at (m={m}, x={x}): {s.radius} > {bound:.2f}"
+                )
+    if empty:
+        notes.append(f"{empty} cells have no ramifiers; radius reported as 0")
+    return cells, claimed, actual, notes
+
+
+def shift_and_zero_one_by_sieves(m_max, n_max, cap):
+    """C11's (i) counterexamples, capped per modulus, its (i) failure count
+    and its (iv) counterexamples by one sieve to n_max + 2m per modulus, the
+    loop the runner ran before it read one sweep's rows."""
+    found_i, total_i, found_iv = [], 0, []
+    for m in range(2, m_max + 1):
+        flags = build_sieve(m, n_max + 2 * m).flags
+        mismatches = [n for n in range(2, n_max + 1) if flags[n] != flags[n + 2 * m]]
+        total_i += len(mismatches)
+        found_i += [
+            {"property": "i", "m": m, "n": n,
+             "value_at_n": flags[n], "value_at_shift": flags[n + 2 * m]}
+            for n in mismatches[:cap]
+        ]
+        found_iv += [
+            {"property": "iv", "m": m, "n": n}
+            for n in range(2, n_max + 1) if n % m <= 1 and flags[n]
+        ]
+    return found_i, total_i, found_iv
+
+
+class TestRowRoute:
+    """C10 and C11 (i) and (iv) read one sweep's rows; each is held against
+    the sieve loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "m_max, x_values", [(60, (3000,)), (300, (100,)), (12, (200,)), (30, (100, 1000))]
+    )
+    def test_circle(self, m_max, x_values):
+        r = claim_circle(m_max, x_values)
+        cells, claimed, actual, notes = circle_by_sieves(m_max, x_values)
+        assert r.params["cells"] == cells
+        assert (r.claimed, r.actual) == (claimed, actual)
+        assert r.notes == "; ".join([*notes, claims.LOG_NOTE])
+
+    @pytest.mark.parametrize("m_max, n_max", [(60, 3000), (300, 100), (12, 200)])
+    @pytest.mark.parametrize("cap", [0, 1, 25])
+    def test_shift_and_zero_one(self, m_max, n_max, cap):
+        r = claim_character_properties(m_max, n_max, cap)
+        found_i, total_i, found_iv = shift_and_zero_one_by_sieves(m_max, n_max, cap)
+        got = {p: [c for c in r.counterexamples if c["property"] == p] for p in ("i", "iv")}
+        assert got["i"] == found_i
+        assert got["iv"] == found_iv
+        assert f"(i) fails {total_i} times" in r.notes
+        assert f"(iv) exhaustive: {len(found_iv)} failures" in r.notes
 
 
 class TestCharacterProperties:

@@ -13,8 +13,9 @@ import pytest
 from clirun import popen_cli, run_cli, run_python
 
 from ramify import __version__, cli
-from ramify.arith import prime_table
+from ramify.arith import DEFAULT_BUDGET_BITS, prime_table
 from ramify.claims import CLAIMS
+from ramify.counting import _ROW_BITS_PER_N
 from ramify.ramification import (
     StrongWitness,
     admits_strong_ramifier,
@@ -907,6 +908,14 @@ class TestWriter:
         assert str(out) in proc.stderr
         assert proc.stdout == ""
 
+    def test_unwritable_out_exit_2_before_the_work(self, tmp_path):
+        # the path is checked before the budget, which refuses this scan
+        out = tmp_path / "missing" / "f.csv"
+        proc = run_cli("scan", "--m", "37", "--x", "200000000", "--format", "csv", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and str(out) in proc.stderr
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -914,8 +923,13 @@ class TestWriter:
             ("check", "1000000000", "2000000000", "--format", "json"),
             ("goldbach", "--m-max", str(2**27)),
             ("claims", "--ids", "C8", "--x", str(2**25 - 1)),
+            # the first x whose row, to x for C10 and to x + 2m_max for C11,
+            # passes the charge of counting.rows
+            ("claims", "--ids", "C10", "--x", str(DEFAULT_BUDGET_BITS // _ROW_BITS_PER_N)),
+            ("claims", "--ids", "C11", "--m-max", "2", "--x",
+             str(DEFAULT_BUDGET_BITS // _ROW_BITS_PER_N - 4)),
         ],
-        ids=["scan", "check", "goldbach", "claims"],
+        ids=["scan", "check", "goldbach", "claims", "claims-C10", "claims-C11"],
     )
     def test_no_out_file_after_exit_3(self, args, tmp_path):
         # every budget check runs before the output file is opened

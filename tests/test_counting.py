@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ramify.arith import DEFAULT_BUDGET_BITS, ResourceBudgetError
 from ramify.counting import (
     _MULTI_BITS_PER_PAIR,
+    _ROW_BITS_PER_N,
     _SWEEP_BITS_PER_N,
     _field_type,
     _low_bands,
@@ -19,6 +20,7 @@ from ramify.counting import (
     count_ramifiers,
     multi_modulus_ramifiers,
     ramifier_counts,
+    rows,
     threshold,
 )
 from ramify.ramification import character, ramifier_witnesses
@@ -407,6 +409,58 @@ class TestPackedSweep:
         # than m - 2, or all of them
         assert min(m - 2, (x - 2) % m + 1) == last
         assert ramifier_counts(x, m, m) == [count_ramifiers(m, x).count]
+        assert next(rows(x, m, m)).flags == build_sieve(m, x).flags
+
+
+class TestRows:
+    """The flag rows read off the packed sweep against the progression
+    sieve, byte for byte."""
+
+    @pytest.mark.parametrize("x", [2, 3, 4, 5, 7, 10, 37, 100, 3121, 2**15 - 1, 2**15])
+    def test_every_m_to_120(self, x):
+        got = list(rows(x, 2, 120))
+        assert [s.m for s in got] == list(range(2, 121))
+        for s in got:
+            assert s == build_sieve(s.m, x), s.m
+            assert type(s.flags) is bytes
+
+    def test_moduli_beyond_x(self):
+        # m > x/2 has no band q >= 2, and m > x holds only the n < m bands
+        for x in range(2, 101):
+            for s in rows(x, 2, 3 * x + 5):
+                assert s == build_sieve(s.m, x), (x, s.m)
+
+    @given(st.integers(2, 5000), st.integers(2, 300), st.integers(0, 300))
+    @example(2**15, 2, 200)  # 32-bit fields, both placements
+    @example(2**15 - 1, 180, 0)  # 16-bit fields, one modulus placed band by band
+    @settings(max_examples=60, deadline=None)
+    def test_random_ranges(self, x, m_lo, extra):
+        got = list(rows(x, m_lo, m_lo + extra))
+        assert [s.m for s in got] == list(range(m_lo, m_lo + extra + 1))
+        for s in got:
+            assert s == build_sieve(s.m, x), s.m
+
+    def test_budget_covers_the_traced_peak(self):
+        # the charge per n covers the peak tracemalloc measures, with 16-bit
+        # fields and with 32-bit ones
+        for x in (3_000, 40_000):
+            tracemalloc.start()
+            try:
+                for _ in rows(x, 2, 60):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 8 * peak <= _ROW_BITS_PER_N * (x + 1), x
+        with pytest.raises(ResourceBudgetError):
+            next(rows(DEFAULT_BUDGET_BITS // _ROW_BITS_PER_N, 2, 2))
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            next(rows(1, 2, 5))
+        with pytest.raises(ValueError):
+            next(rows(10, 1, 5))
+        assert list(rows(10, 6, 5)) == []
 
 
 class TestMultiModulus:
