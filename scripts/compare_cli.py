@@ -4,11 +4,8 @@ under this one, and compare what they print.
 
 Each invocation runs as `python -m ramify ARGS` in a child process with
 that side's `src/` first on PYTHONPATH; each side's bytecode is compiled
-once, into a temporary cache, before the first run.  An invocation of the
-golden grid runs once per side, parent first; every other one runs three
-times per side, alternating parent and change, and its time is the least
-of its three, so that one slow run on a shared host does not read as a
-change.  The last run of each side must agree with the other's on stdout,
+once, into a temporary cache, before the first run.  Every invocation
+runs once per side, parent first.  The two runs must agree on stdout,
 less the envelope's `generated_at` line, on stderr and on the exit code.
 A parent run that exits 3 (resource budget exceeded) gave no answer, so
 whatever the change prints there is listed as `parent exit 3` and is not
@@ -16,9 +13,10 @@ counted as a difference; a change run that exits 3 where the parent
 answered is.
 
 One line per group of invocations gives the outcome and, per side, the
-total wall time (the sum of each invocation's least) and the largest peak
-RSS of a child.  The golden grid (`tests/golden/check_grid.json`) is one
-group; every other invocation is its own.  Exits 1 if any invocation
+largest peak RSS of a child.  Wall time is not shown: one run on a shared
+host swings by more than a change moves it, so speed is measured with
+perfbench instead.  The golden grid (`tests/golden/check_grid.json`) is
+one group; every other invocation is its own.  Exits 1 if any invocation
 differs, 0 otherwise.
 
 Usage:
@@ -29,12 +27,10 @@ Usage:
 import argparse
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -77,24 +73,20 @@ OTHERS = [
     "scan --m 37 --x 3000000 --format csv",
 ]
 
-#: Timed runs per side of each invocation outside the golden grid.
-REPEATS = 3
 
-
-def groups() -> list[tuple[str, list[list[str]], int]]:
-    """(label, argvs, runs per side) in run order: the golden files, the
-    golden grid, the claims and Goldbach sweeps, then each check in text,
-    JSON and CSV."""
+def groups() -> list[tuple[str, list[list[str]]]]:
+    """(label, argvs) in run order: the golden files, the golden grid, the
+    claims and Goldbach sweeps, then each check in text, JSON and CSV."""
     unlisted = {p.name for p in GOLDEN.iterdir()} - set(GOLDEN_ARGV) - {"check_grid.json"}
     if unlisted:
         raise SystemExit(f"golden files with no invocation listed: {sorted(unlisted)}")
-    out = [(line, [line.split()], REPEATS) for line in GOLDEN_ARGV.values()]
+    out = [(line, [line.split()]) for line in GOLDEN_ARGV.values()]
     grid = [entry["argv"] for entry in json.loads((GOLDEN / "check_grid.json").read_text())]
-    out.append((f"check_grid.json ({len(grid)} invocations)", grid, 1))
-    out += [(line, [line.split()], REPEATS) for line in OTHERS]
+    out.append((f"check_grid.json ({len(grid)} invocations)", grid))
+    out += [(line, [line.split()]) for line in OTHERS]
     for line in CHECKS:
         for fmt in ("", " --format json", " --format csv"):
-            out.append((line + fmt, [(line + fmt).split()], REPEATS))
+            out.append((line + fmt, [(line + fmt).split()]))
     return out
 
 
@@ -108,21 +100,19 @@ def child_env(src: Path, cache: Path) -> dict[str, str]:
     return env
 
 
-def run(env: dict[str, str], argv: list[str], out: Path) -> tuple[int, float, float]:
-    """(exit code, wall s, peak RSS MB) of `python -m ramify argv`, its stdout
-    and stderr written to out.stdout and out.stderr.
+def run(env: dict[str, str], argv: list[str], out: Path) -> tuple[int, float]:
+    """(exit code, peak RSS MB) of `python -m ramify argv`, its stdout and
+    stderr written to out.stdout and out.stderr.
 
     The outputs go to files and are compared from there in small pieces, so
     that this process stays small: a child's peak RSS counts the image it
     was forked from, before exec.
     """
     with open(f"{out}.stdout", "wb") as so, open(f"{out}.stderr", "wb") as se:
-        start = time.perf_counter()
         cmd = [sys.executable, "-m", "ramify", *argv]
         proc = subprocess.Popen(cmd, stdout=so, stderr=se, env=env)
         _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
-        wall = time.perf_counter() - start
-    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024
 
 
 def pieces(path: str):
@@ -148,24 +138,20 @@ def compare(srcs: tuple[Path, Path], tmp: Path) -> int:
     """Print one line per group, and return the number of invocations that
     differ; tmp holds the outputs and the bytecode caches."""
     envs = [child_env(src, tmp / f"pycache-{i}") for i, src in enumerate(srcs)]
-    for env in envs:  # compile each side once, outside the timed runs
+    for env in envs:  # compile each side once, before the first run
         subprocess.run([sys.executable, "-m", "ramify", "--version"], env=env, check=True,
                        stdout=subprocess.DEVNULL)
     outs = [tmp / "parent", tmp / "change"]
-    print(f"{'outcome':<14} {'parent':>16} {'change':>16}  invocation")
+    print(f"{'outcome':<14} {'parent':>8} {'change':>8}  invocation")
     differ = 0
-    for label, argvs, runs in groups():
-        walls, rss, notes, outcome = [0.0, 0.0], [0.0, 0.0], [], "same"
+    for label, argvs in groups():
+        rss, notes, outcome = [0.0, 0.0], [], "same"
         for argv in argvs:
-            least = [math.inf, math.inf]
-            for _ in range(runs):
-                codes = []
-                for i, (env, out) in enumerate(zip(envs, outs)):
-                    code, wall, peak = run(env, argv, out)
-                    codes.append(code)
-                    least[i] = min(least[i], wall)
-                    rss[i] = max(rss[i], peak)
-            walls = [w + t for w, t in zip(walls, least)]
+            codes = []
+            for i, (env, out) in enumerate(zip(envs, outs)):
+                code, peak = run(env, argv, out)
+                codes.append(code)
+                rss[i] = max(rss[i], peak)
             what = [f"exit {codes[0]} -> {codes[1]}"] if codes[0] != codes[1] else []
             for stream in ("stdout", "stderr"):
                 diff = first_difference(f"{outs[0]}.{stream}", f"{outs[1]}.{stream}")
@@ -178,8 +164,7 @@ def compare(srcs: tuple[Path, Path], tmp: Path) -> int:
                 differ += 1
                 outcome = "DIFFERS"
             notes.append(f"{' '.join(argv)}: " + "; ".join(what))
-        cells = [f"{w:6.2f} s {m:5.0f} MB" for w, m in zip(walls, rss)]
-        print(f"{outcome:<14} {cells[0]:>16} {cells[1]:>16}  {label}", flush=True)
+        print(f"{outcome:<14} {rss[0]:5.0f} MB {rss[1]:5.0f} MB  {label}", flush=True)
         for note in notes:
             print(f"{'':<14} {note}", flush=True)
     return differ

@@ -166,6 +166,30 @@ def _finish(
     )
 
 
+def _finish_cells(
+    claim_id: str,
+    params: dict,
+    entries: list[tuple[dict, Any, Any]],
+    notes: list[str],
+    counterexamples: list[dict] | None = None,
+) -> ClaimReport:
+    """_finish for a report over cells: entries holds one (cell, claimed,
+    actual) triple per cell, and the cells go last into params."""
+    cells, claimed, actual = map(list, zip(*entries)) if entries else ([], [], [])
+    return _finish(claim_id, {**params, "cells": cells}, claimed, actual, notes, counterexamples)
+
+
+def _grid(m_values: tuple[int, ...], x_values: tuple[int, ...]):
+    """The count_ramifiers summary of every (m, x) cell, m-major, each
+    built as it is reached."""
+    return (count_ramifiers(m, x) for m in m_values for x in x_values)
+
+
+def _grid_params(m_values: tuple[int, ...], x_values: tuple[int, ...]) -> dict:
+    """The params of a report over the (m, x) grid, less its cells."""
+    return {"m_values": list(m_values), "x_values": list(x_values)}
+
+
 @_claim("C1", "existence", "proposition")
 def claim_existence(m_max: int = 10) -> ClaimReport:
     """Every m >= 2 has some modulus t in (1, m] that admits a ramifier."""
@@ -255,26 +279,15 @@ def claim_upper_bound(
 ) -> ClaimReport:
     """The count of ramifiers n <= x in modulus m is at most
     (1 - 1/m) x - log x / log m + O(1)."""
-    cells, claimed, actual, notes = [], [], [], []
-    for m in m_values:
-        for x in x_values:
-            s = count_ramifiers(m, x)
-            bound = s.upper_main
-            cells.append({"m": m, "x": x})
-            claimed.append(bound)
-            actual.append(s.count)
-            if s.count > bound:
-                notes.append(
-                    f"count exceeds the main term at (m={m}, x={x}): "
-                    f"{s.count} > {bound:.2f}"
-                )
-    return _finish(
-        "C4",
-        {"m_values": list(m_values), "x_values": list(x_values), "cells": cells},
-        claimed,
-        actual,
-        notes,
-    )
+    entries, notes = [], []
+    for s in _grid(m_values, x_values):
+        entries.append(({"m": s.m, "x": s.x}, s.upper_main, s.count))
+        if s.count > s.upper_main:
+            notes.append(
+                f"count exceeds the main term at (m={s.m}, x={s.x}): "
+                f"{s.count} > {s.upper_main:.2f}"
+            )
+    return _finish_cells("C4", _grid_params(m_values, x_values), entries, notes)
 
 
 @_claim("C5", "goldbach-equivalence", "conjecture")
@@ -326,51 +339,39 @@ def claim_lower_bound(
 ) -> ClaimReport:
     """The count of ramifiers n <= x in modulus m is at least
     (x^2 - x m) / m^2 + O_m(1)."""
-    cells, claimed, actual, notes = [], [], [], []
-    for m in m_values:
-        for x in x_values:
-            s = count_ramifiers(m, x)
-            bound = s.lower_main
-            cells.append({"m": m, "x": x})
-            claimed.append(bound)
-            actual.append(s.count)
-            if bound > s.count:
-                notes.append(
-                    f"main-term conflict at (m={m}, x={x}): claimed lower bound "
-                    f"{bound:g} exceeds the exact count {s.count}"
-                )
-            if bound > x - 1:
-                notes.append(
-                    f"claimed lower bound {bound:g} exceeds the trivial ceiling "
-                    f"{x - 1} at (m={m}, x={x})"
-                )
-    return _finish(
-        "C6",
-        {"m_values": list(m_values), "x_values": list(x_values), "cells": cells},
-        claimed,
-        actual,
-        notes,
-    )
+    entries, notes = [], []
+    for s in _grid(m_values, x_values):
+        m, x, bound = s.m, s.x, s.lower_main
+        entries.append(({"m": m, "x": x}, bound, s.count))
+        if bound > s.count:
+            notes.append(
+                f"main-term conflict at (m={m}, x={x}): claimed lower bound "
+                f"{bound:g} exceeds the exact count {s.count}"
+            )
+        if bound > x - 1:
+            notes.append(
+                f"claimed lower bound {bound:g} exceeds the trivial ceiling "
+                f"{x - 1} at (m={m}, x={x})"
+            )
+    return _finish_cells("C6", _grid_params(m_values, x_values), entries, notes)
 
 
 @_claim("C7", "double-sum", "theorem", asymptotic=True)
 def claim_double_sum(x_values: tuple[int, ...] = (100, 1000)) -> ClaimReport:
     """The double count of ramification pairs (n, m) with n, m <= x is at
     least x log x / 2 + O(x)."""
-    cells, claimed, actual, notes = [], [], [], []
+    entries, notes = [], []
     for x in x_values:
         counts = ramifier_counts(x, 2, x)
         full = sum(counts)
         t = threshold(x)
         restricted = sum(counts[t - 2 :])
-        cells.append({"x": x})
-        claimed.append(x * math.log(x) / 2)
-        actual.append(full)
+        entries.append(({"x": x}, x * math.log(x) / 2, full))
         notes.append(
             f"x={x}: moduli in [{t}, {x}] (the range the derivation actually "
             f"bounds) contribute {restricted} of {full}"
         )
-    return _finish("C7", {"x_values": list(x_values), "cells": cells}, claimed, actual, notes)
+    return _finish_cells("C7", {"x_values": list(x_values)}, entries, notes)
 
 
 @_claim("C8", "pigeonhole", "corollary")
@@ -455,7 +456,7 @@ def claim_circle(
 ) -> ClaimReport:
     """The circle radius max |n - m| over ramifiers n <= x is at most
     x (sqrt(x - log x) - 1) / sqrt(x - log x)."""
-    cells, claimed, actual, notes = [], [], [], []
+    entries, notes = [], []
     empty = 0
     per_x = [list(map(summarize_sieve, rows(x, 2, m_max))) for x in x_values]
     for column in zip(*per_x):  # the summaries of one m, one per x
@@ -463,9 +464,7 @@ def claim_circle(
             m, x = s.m, s.x
             root = math.sqrt(x - math.log(x))
             bound = x * (root - 1) / root
-            cells.append({"m": m, "x": x})
-            claimed.append(bound)
-            actual.append(s.radius)
+            entries.append(({"m": m, "x": x}, bound, s.radius))
             if not s.has_ramifiers:
                 empty += 1
             elif s.radius > bound:
@@ -475,13 +474,7 @@ def claim_circle(
                 )
     if empty:
         notes.append(f"{empty} cells have no ramifiers; radius reported as 0")
-    return _finish(
-        "C10",
-        {"m_max": m_max, "x_values": list(x_values), "cells": cells},
-        claimed,
-        actual,
-        notes,
-    )
+    return _finish_cells("C10", {"m_max": m_max, "x_values": list(x_values)}, entries, notes)
 
 
 _SHIFT_CAP = 8  # factorial shifts grow too fast beyond 8!
@@ -573,43 +566,31 @@ def claim_character_bounds(
 ) -> ClaimReport:
     """For m at or above the threshold scale, the character partial sum
     over n <= x lies between the two counting main terms."""
-    cells, claimed, actual, notes = [], [], [], []
-    for m in m_values:
-        for x in x_values:
-            s = count_ramifiers(m, x)
-            t = threshold(x)
-            applicable = m >= t
-            low, up = s.lower_main, s.upper_main
-            for bound_name, bound in (("lower", low), ("upper", up)):
-                cells.append(
-                    {"m": m, "x": x, "bound": bound_name, "applicable": applicable}
-                )
-                claimed.append(bound)
-                actual.append(s.count)
-            if not applicable:
-                notes.append(
-                    f"(m={m}, x={x}): below the stated modulus scale {t}; "
-                    "evaluated anyway"
-                )
-            elif not low <= s.count <= up:
-                notes.append(
-                    f"partial sum outside the main-term band at (m={m}, x={x}): "
-                    f"{low:.2f} <= {s.count} <= {up:.2f} is false"
-                )
-    return _finish(
-        "C12",
-        {"m_values": list(m_values), "x_values": list(x_values), "cells": cells},
-        claimed,
-        actual,
-        notes,
-    )
+    entries, notes = [], []
+    for s in _grid(m_values, x_values):
+        m, x, low, up = s.m, s.x, s.lower_main, s.upper_main
+        t = threshold(x)
+        applicable = m >= t
+        for bound_name, bound in (("lower", low), ("upper", up)):
+            cell = {"m": m, "x": x, "bound": bound_name, "applicable": applicable}
+            entries.append((cell, bound, s.count))
+        if not applicable:
+            notes.append(
+                f"(m={m}, x={x}): below the stated modulus scale {t}; evaluated anyway"
+            )
+        elif not low <= s.count <= up:
+            notes.append(
+                f"partial sum outside the main-term band at (m={m}, x={x}): "
+                f"{low:.2f} <= {s.count} <= {up:.2f} is false"
+            )
+    return _finish_cells("C12", _grid_params(m_values, x_values), entries, notes)
 
 
 @_claim("C13", "threshold-scale", "consequence")
 def claim_threshold_scale(x_values: tuple[int, ...] = (20,)) -> ClaimReport:
     """No modulus below floor(x / sqrt(x - ln x)) + 1 admits a ramifier
     n <= x."""
-    cells, claimed, actual, counterexamples = [], [], [], []
+    entries, counterexamples = [], []
     for x in x_values:
         t = threshold(x)
         violations = 0
@@ -618,17 +599,8 @@ def claim_threshold_scale(x_values: tuple[int, ...] = (20,)) -> ClaimReport:
             if w is not None and w.n <= x:
                 violations += 1
                 counterexamples.append({"x": x, "m": m, "n": w.n})
-        cells.append({"x": x, "threshold": t})
-        claimed.append(0)
-        actual.append(violations)
-    return _finish(
-        "C13",
-        {"x_values": list(x_values), "cells": cells},
-        claimed,
-        actual,
-        [],
-        counterexamples,
-    )
+        entries.append(({"x": x, "threshold": t}, 0, violations))
+    return _finish_cells("C13", {"x_values": list(x_values)}, entries, [], counterexamples)
 
 
 def run_claim(claim_id: str, **params: Any) -> ClaimReport:

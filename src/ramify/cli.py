@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import errno
 import json
 import os
 import sys
@@ -279,13 +278,16 @@ def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _check_out(path: str) -> None:
-    """Raise the OSError that opening path for writing would raise when it is
-    a directory or its directory is missing, before any work and without
-    creating the file, so that an input that exits 3 still leaves none."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    """Raise the OSError that opening path for writing would raise, before
+    any work, by opening it: a missing file is created exclusively and
+    removed again, so that an input that exits 3 still leaves none, and an
+    existing one is opened for append and closed unwritten."""
+    try:
+        open(path, "x").close()
+    except FileExistsError:
+        open(path, "a").close()
+    else:
+        os.remove(path)
 
 
 # --- parser ------------------------------------------------------------------

@@ -29,7 +29,13 @@ from ramify.claims import (
     replay_report,
     run_claim,
 )
-from ramify.counting import build_sieve, count_ramifiers, multi_modulus_ramifiers, threshold
+from ramify.counting import (
+    build_sieve,
+    count_ramifiers,
+    multi_modulus_ramifiers,
+    ramifier_counts,
+    threshold,
+)
 from ramify.ramification import admits_ramifier, character, ramifier_witnesses
 
 
@@ -267,6 +273,28 @@ class TestBoundClaims:
         assert bounds == {(5, "lower"), (5, "upper"), (50, "lower"), (50, "upper")}
         # m = 5 sits below threshold(100) = 11 and must be flagged
         assert "(m=5, x=100)" in r.notes
+
+    @pytest.mark.parametrize(
+        "m_values, x_values",
+        [((3, 5, 10, 50), (100, 1000, 10000)), ((57, 60, 63), (2950, 3000, 3050))],
+    )
+    def test_grid_claims_match_the_sweep(self, m_values, x_values):
+        # the claims read sieves; the sweep is a route independent of them
+        grid = [(m, x) for m in m_values for x in x_values]
+        swept = {(m, x): ramifier_counts(x, m, m)[0] for m, x in grid}
+        upper = claim_upper_bound(m_values, x_values)
+        lower = claim_lower_bound(m_values, x_values)
+        band = claim_character_bounds(m_values, x_values)
+        for r in (upper, lower):
+            assert [(c["m"], c["x"]) for c in r.params["cells"]] == grid
+            assert r.actual == [swept[cell] for cell in grid]
+        assert [(c["m"], c["x"], c["bound"]) for c in band.params["cells"]] == [
+            (m, x, bound) for m, x in grid for bound in ("lower", "upper")
+        ]
+        assert band.actual == [swept[cell] for cell in grid for _ in range(2)]
+        assert band.claimed == [
+            c for pair in zip(lower.claimed, upper.claimed) for c in pair
+        ]
 
 
 class TestPigeonhole:

@@ -916,6 +916,21 @@ class TestWriter:
         assert proc.stderr.startswith("error: ") and str(out) in proc.stderr
         assert not out.parent.exists()
 
+    def test_out_under_a_file_exit_2(self, tmp_path):
+        # the probe is a real open, so the message is open's own
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "f.csv"
+        proc = run_cli("scan", "--m", "37", "--x", "200000000", "--format", "csv", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: [Errno 20] Not a directory: '{out}'\n"
+
+    def test_existing_out_unchanged_after_exit_3(self, tmp_path):
+        out = tmp_path / "out"
+        out.write_bytes(b"kept\n")
+        proc = run_cli("scan", "--m", "37", "--x", "200000000", "--out", str(out))
+        assert proc.returncode == 3
+        assert out.read_bytes() == b"kept\n"
+
     @pytest.mark.parametrize(
         "args",
         [
