@@ -68,6 +68,9 @@ OTHERS = [
     "claims --m-max 300 --x 10000 --format json",
     "claims --ids C10,C11 --m-max 1000 --x 10000 --format json",
     "claims --m-max 300 --x 100 --format csv",  # C10 rows with m > x
+    # many one-member progressions for C9, and C11 (i) at its cap
+    "claims --ids C9,C11 --m-max 100 --x 5000 --format json",
+    "claims --ids C9,C11 --m-max 24 --x 2 --format json",  # n_max below every shift
     "goldbach --m-max 20000 --format json",
     "goldbach --m-max 100000 --format json",
     "scan --m 37 --x 3000000 --format csv",

@@ -23,12 +23,11 @@ replayed through the core predicates via replay_counterexample.
 Claims that only count read bulk answers: C5 takes its partition counts
 from the prime bitset (``goldbach_counts``), C8 its count from the
 closed-form band counts, C9 its witness pairs (n, r) from the sieve's
-progressions (``counting._progressions``), one member at a time only
-where a progression has one, C10 and C11 properties (i) and (iv) the flag
-row of each modulus from one packed divisor sweep (``counting.rows``),
-and C11 (ii) one sieve row per modulus m <= 8.  Replays stay on the point
-predicates, so each replay re-derives a recorded violation independently
-of the bulk route.
+progressions (``counting._progressions``), one member at a time, C10 and
+C11 properties (i) and (iv) the flag row of each modulus from one packed
+divisor sweep (``counting.rows``), and C11 (ii) one sieve row per modulus
+m <= 8.  Replays stay on the point predicates, so each replay re-derives
+a recorded violation independently of the bulk route.
 
 Sweeps iterate ascending (m, then n, then r), so reports are
 byte-reproducible.
@@ -40,10 +39,10 @@ import inspect
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress, islice
 from typing import Any, Callable
 
-from .arith import DEFAULT_BUDGET_BITS, _check_budget, bitset, prime_table
+from .arith import DEFAULT_BUDGET_BITS, _check_budget, is_prime, prime_table
 from .counting import (
     _low_moduli,
     _progressions,
@@ -414,27 +413,17 @@ def claim_magnification(m_max: int = 30, x: int = 2000) -> ClaimReport:
     instances = 0
     for m in range(2, m_max + 1):
         for r, period, starts in _progressions(m, x):
-            if period > x:  # one member each
-                for n in starts:
-                    a1 = n % m
-                    if math.gcd(n - m, a1) == 1:
-                        instances += 1
-                        if r % a1 and math.gcd(r, a1) != 1:
-                            counterexamples.append({"m": m, "n": n, "a1": a1, "r": r})
-                continue
             for n0 in starts:
                 a1 = n0 % m
                 # n - m = a1 (mod m), so gcd(m, a1) divides gcd(n - m, a1)
                 if math.gcd(m, a1) != 1:
                     continue
-                gcds = list(map(math.gcd, range(n0 - m, x - m + 1, period), repeat(a1)))
-                instances += gcds.count(1)
-                if r % a1 and math.gcd(r, a1) != 1:
-                    counterexamples += [
-                        {"m": m, "n": n0 + i * period, "a1": a1, "r": r}
-                        for i, g in enumerate(gcds)
-                        if g == 1
-                    ]
+                breaks = r % a1 != 0 and math.gcd(r, a1) != 1
+                for n in range(n0, x + 1, period):
+                    if math.gcd(n - m, a1) == 1:
+                        instances += 1
+                        if breaks:
+                            counterexamples.append({"m": m, "n": n, "a1": a1, "r": r})
     counterexamples.sort(key=lambda c: (c["m"], c["n"], c["r"]))
     notes = [
         f"{instances} witnessing moduli examined under the coprimality hypothesis",
@@ -494,35 +483,25 @@ def claim_character_properties(
     counterexamples: list[dict] = []
     total_i = 0
     zero_one: list[tuple[int, int]] = []  # the (m, n) of (iv) that ramify
-    in_range = (1 << max(n_max + 1, 2)) - 4  # the bits of n in [2, n_max]
     # every flag read below lies in [0, n_max + 2m], a prefix of each row
     for sieve in rows(n_max + 2 * m_max, 2, m_max):
-        # flags[n] and bit n of v are character(n, m); bit n of v >> 2m is
-        # character(n + 2m, m)
-        m, flags = sieve.m, sieve.flags
+        m, flags = sieve.m, sieve.flags  # flags[n] is character(n, m)
         zero_one += sorted(
             (m, n)
             for a in (0, 1)  # the flags of 0 and 1 are 0
             for n in compress(range(a, n_max + 1, m), flags[a : n_max + 1 : m])
         )
-        v = bitset(flags)
-        mismatches = (v ^ (v >> 2 * m)) & in_range
-        total_i += mismatches.bit_count()
-        for _ in range(max_counterexamples):
-            if not mismatches:
-                break
-            low = mismatches & -mismatches
-            mismatches ^= low
-            n = low.bit_length() - 1
-            counterexamples.append(
-                {
-                    "property": "i",
-                    "m": m,
-                    "n": n,
-                    "value_at_n": v >> n & 1,
-                    "value_at_shift": v >> (n + 2 * m) & 1,
-                }
-            )
+        # byte n - 2 of differ is character(n, m) ^ character(n + 2m, m)
+        differ = (
+            int.from_bytes(flags[2 : n_max + 1], "little")
+            ^ int.from_bytes(flags[2 + 2 * m : n_max + 2 * m + 1], "little")
+        ).to_bytes(max(n_max - 1, 0), "little")
+        total_i += differ.count(1)
+        counterexamples += [
+            {"property": "i", "m": m, "n": n,
+             "value_at_n": flags[n], "value_at_shift": flags[n + 2 * m]}
+            for n in islice(compress(range(2, n_max + 1), differ), max(max_counterexamples, 0))
+        ]
     fails_ii = fails_v = 0
     for m in range(2, min(m_max, _SHIFT_CAP) + 1):
         f = math.factorial(m)
@@ -647,9 +626,13 @@ def replay_counterexample(claim_id: str, cx: dict) -> bool:
     if claim_id == "C1":
         return all(admits_ramifier(t) is None for t in range(2, cx["m"] + 1))
     if claim_id == "C2":
-        return character(cx["n"], cx["m"]) == 1
+        return cx["n"] % cx["m"] == 0 and character(cx["n"], cx["m"]) == 1
     if claim_id == "C3":
-        return cx["element"] >= 2 and character(cx["element"], cx["p"]) == 1
+        p, a, e = cx["p"], cx["a"], cx["exponent"]
+        residue = p > 2 and is_prime(p) and 0 < a < p and pow(a, (p - 1) // 2, p) == 1
+        if not residue or e not in ((p - 1) // 2, p - 1) or cx["element"] != a**e:
+            return False
+        return cx["element"] >= 2 and character(cx["element"], p) == 1
     if claim_id == "C5":
         primes = prime_table(cx["m"])
         return bool(goldbach_partitions(cx["m"], primes)) != (

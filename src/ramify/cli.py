@@ -279,15 +279,13 @@ def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _check_out(path: str) -> None:
     """Raise the OSError that opening path for writing would raise, before
-    any work, by opening it: a missing file is created exclusively and
-    removed again, so that an input that exits 3 still leaves none, and an
-    existing one is opened for append and closed unwritten."""
-    try:
-        open(path, "x").close()
-    except FileExistsError:
-        open(path, "a").close()
-    else:
-        os.remove(path)
+    any work, by opening it for append, which truncates nothing.  A file the
+    probe created, at path or at the target of a dangling symlink, is
+    removed again, so that an input that exits 3 still leaves none."""
+    created = not os.path.exists(path)  # exists follows a symlink
+    open(path, "a").close()
+    if created:
+        os.remove(os.path.realpath(path))
 
 
 # --- parser ------------------------------------------------------------------

@@ -298,9 +298,9 @@ def _run_flags(guards: int, fields: int, width: int) -> bytes:
 #: take b/2 bits as bytes and 4 as one byte per field, and the row and its
 #: bytes 8 each.  tracemalloc measures a peak of 132-139 bits per n with
 #: b = 16 (x = 3,000 and 10**4) and 238-239 with b = 32 (x = 4*10**4 and
-#: 10**5); C11, which holds a row's bitset and the previous row beside the
-#: sweep, peaks at 263 at x = 10**5.  The charge caps x below 2**30 / 320,
-#: about 3.36 million.
+#: 10**5); C11, which holds two slices of a row as ints and their XOR as
+#: bytes beside the sweep, peaks at 266 at x = 10**5.  The charge caps x
+#: below 2**30 / 320, about 3.36 million.
 _ROW_BITS_PER_N = 320
 
 

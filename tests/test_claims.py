@@ -1,11 +1,15 @@
 import inspect
+import json
 import math
 import random
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from clirun import run_python
 
 from ramify import claims
 from ramify.arith import ResourceBudgetError
@@ -37,6 +41,8 @@ from ramify.counting import (
     threshold,
 )
 from ramify.ramification import admits_ramifier, character, ramifier_witnesses
+
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
 def shift_by_point_calls(m_max, n_max):
@@ -396,6 +402,16 @@ def fabricated_progressions(m, x):
         yield 6, x + 1, [4]  # one member, n < m
 
 
+def fabricated_witnesses(n, m):
+    """ramifier_witnesses as fabricated_progressions (to x = 100) has it:
+    one witness per progression that holds n."""
+    return [
+        types.SimpleNamespace(r=r)
+        for r, period, starts in fabricated_progressions(m, 100)
+        if any(n >= n0 and (n - n0) % period == 0 for n0 in starts)
+    ]
+
+
 class TestMagnificationFabricated:
     """C9 finds no counterexample at any tested scale, so its list and its
     sort are held on progressions made up to break the claim."""
@@ -407,6 +423,16 @@ class TestMagnificationFabricated:
         r = claim_magnification(5, 100)
         assert (r.params["instances"], r.counterexamples) == (instances, expected)
         assert r.verdict == Verdict.FAILS_WITH_COUNTEREXAMPLE
+
+    def test_replays_under_the_fabrication(self, monkeypatch):
+        monkeypatch.setattr(claims, "_progressions", fabricated_progressions)
+        r = claim_magnification(5, 100)
+        monkeypatch.setattr(claims, "ramifier_witnesses", fabricated_witnesses)
+        assert replay_report(r)
+        # a witness r that a1 divides is an instance, not a violation
+        assert not replay_counterexample("C9", {"m": 3, "n": 2, "a1": 2, "r": 4})
+        monkeypatch.undo()
+        assert not any(replay_counterexample("C9", c) for c in r.counterexamples)
 
 
 def sieve_with_zero_one_flags(m, x):
@@ -441,6 +467,53 @@ class TestZeroOneClassesFabricated:
         r = claim_character_properties(m_max, n_max)
         assert [c for c in r.counterexamples if c["property"] == "iv"] == expected
         assert f"(iv) exhaustive: {len(expected)} failures" in r.notes
+
+
+#: (n, m) pairs whose character the fabricated world below inverts: (ii)
+#: fails at n = 7 and 9 for m = 4 (m! = 24), (v) at n = 7 (7 * 24 = 168)
+#: and (iv) at n = 9, in residue class 1.
+FLIPS = {(7, 4), (168, 4), (9, 4)}
+
+
+def flipped_character(n, m):
+    return character(n, m) ^ ((n, m) in FLIPS)
+
+
+def flipped_sieve(m, x):
+    """build_sieve(m, x) with the flags of FLIPS inverted."""
+    flags = bytearray(build_sieve(m, x).flags)
+    for n, m_flip in FLIPS:
+        if m_flip == m and n <= x:
+            flags[n] ^= 1
+    return types.SimpleNamespace(m=m, x=x, flags=bytes(flags))
+
+
+def flipped_rows(x, m_lo, m_hi):
+    return (flipped_sieve(m, x) for m in range(m_lo, m_hi + 1))
+
+
+class TestCharacterPropertiesFabricated:
+    """C11 (ii), (iv) and (v) hold at every tested scale; their recording
+    and replays are held in a world whose character inverts FLIPS."""
+
+    def test_records_and_replays(self, monkeypatch):
+        monkeypatch.setattr(claims, "character", flipped_character)
+        monkeypatch.setattr(claims, "build_sieve", flipped_sieve)
+        monkeypatch.setattr(claims, "rows", flipped_rows)
+        r = claim_character_properties(6, 40)
+        fabricated = [c for c in r.counterexamples if c["property"] != "i"]
+        # per n within a modulus, the (ii) entry comes before the (v) entry
+        assert fabricated == [
+            {"property": "ii", "m": 4, "n": 7},
+            {"property": "v", "m": 4, "n": 7},
+            {"property": "ii", "m": 4, "n": 9},
+            {"property": "iv", "m": 4, "n": 9},
+        ]
+        assert "(ii) exhaustive for m <= 6: 2 failures" in r.notes
+        assert "(v) exhaustive for m <= 6: 1 failures" in r.notes
+        assert replay_report(r)
+        monkeypatch.undo()
+        assert not any(replay_counterexample("C11", c) for c in fabricated)
 
 
 def circle_by_sieves(m_max, x_values):
@@ -541,6 +614,9 @@ class TestCharacterProperties:
         full = claim_character_properties(10, 200, max_counterexamples=10**6)
         assert set(per_m) == {c["m"] for c in full.counterexamples if c["property"] == "i"}
 
+    def test_negative_cap_records_nothing(self):
+        assert shift_part(claim_character_properties(10, 200, max_counterexamples=-1)) == (361, [])
+
 
 class TestShiftBulkRoute:
     def test_matches_point_calls_at_60_3000(self):
@@ -563,6 +639,19 @@ class TestShiftBulkRoute:
     def test_fixed_total(self):
         # frozen from scripts/brute_force_fixtures.py
         assert shift_part(claim_character_properties(10, 200))[0] == 361
+
+    def test_matches_the_brute_force_script(self):
+        # the script imports nothing from the package
+        proc = run_python(str(SCRIPTS / "brute_force_fixtures.py"))
+        assert proc.returncode == 0, proc.stderr
+        fixtures = json.loads(proc.stdout)
+        assert shift_part(claim_character_properties(10, 200))[0] == (
+            fixtures["shift_mismatches_m10_n200"]
+        )
+        for x, pigeonhole in fixtures["pigeonhole"].items():
+            n0, ms = pigeonhole["least"]
+            expected = f"smallest instance: n = {n0} ramifies in moduli {ms}"
+            assert pigeonhole_part(claim_pigeonhole(int(x))) == (pigeonhole["count"], expected)
 
 
 class TestFactorialShiftRowRoute:
@@ -619,6 +708,9 @@ class TestThresholdScale:
 class TestReplay:
     def test_rejects_fabricated_counterexamples(self):
         assert not replay_counterexample("C2", {"m": 5, "n": 15})
+        assert not replay_counterexample("C2", {"m": 5, "n": 7})  # 5 does not divide 7
+        # 1**2 is 1, not 7
+        assert not replay_counterexample("C3", {"p": 5, "a": 1, "exponent": 2, "element": 7})
         assert not replay_counterexample("C11", {"property": "i", "m": 3, "n": 5})
         assert not replay_counterexample("C13", {"x": 20, "m": 3, "n": 4})
         assert not replay_counterexample("C9", {"m": 5, "n": 7, "a1": 2, "r": 4})
@@ -629,3 +721,44 @@ class TestReplay:
         assert replay_counterexample("C8", {"x": 2})
         assert replay_counterexample("C8", {"x": 5})
         assert not replay_counterexample("C8", {"x": 6})
+
+
+class TestReplayFabricated:
+    """C2, C3 and C5 record nothing at any tested scale; each replay is held
+    on a record that a fabricated predicate makes a violation."""
+
+    def test_zero_class(self, monkeypatch):
+        monkeypatch.setattr(claims, "character", lambda n, m: character(n, m) ^ ((n, m) == (15, 5)))
+        r = claim_zero_class(5, 20)
+        assert r.counterexamples == [{"m": 5, "n": 15}]
+        assert replay_report(r)
+        monkeypatch.undo()
+        assert not replay_report(r)
+
+    def test_quadratic_residues(self, monkeypatch):
+        # 4 is a quadratic residue mod 5, and 4**2 = 16
+        cx = {"p": 5, "a": 4, "exponent": 2, "element": 16}
+        monkeypatch.setattr(claims, "character", lambda n, m: 1)
+        assert replay_counterexample("C3", cx)
+        # each record below fails exactly one condition of the claim
+        for other in [
+            {"p": 9, "a": 8, "exponent": 4, "element": 8**4},  # 9 is no prime
+            {"p": 5, "a": 9, "exponent": 2, "element": 81},  # a is not below p
+            {"p": 5, "a": 2, "exponent": 2, "element": 4},  # 2 is no residue mod 5
+            {"p": 5, "a": 4, "exponent": 3, "element": 64},  # neither (p - 1)/2 nor p - 1
+            {"p": 5, "a": 4, "exponent": 2, "element": 17},  # not 4**2
+        ]:
+            assert not replay_counterexample("C3", other), other
+        monkeypatch.undo()
+        assert not replay_counterexample("C3", cx)
+
+    def test_goldbach_equivalence(self, monkeypatch):
+        real = claims.admits_strong_ramifier
+        monkeypatch.setattr(
+            claims, "admits_strong_ramifier", lambda m, p: None if m == 10 else real(m, p)
+        )
+        r = claim_goldbach_equivalence(20)
+        assert r.counterexamples == [{"m": 10, "partitions": 2, "certificate_found": False}]
+        assert replay_report(r)
+        monkeypatch.undo()
+        assert not replay_report(r)

@@ -931,6 +931,22 @@ class TestWriter:
         assert proc.returncode == 3
         assert out.read_bytes() == b"kept\n"
 
+    def test_dangling_symlink_out_no_file_after_exit_3(self, tmp_path):
+        # the probe creates the link's target and must remove it again
+        (tmp_path / "dangling").symlink_to("target.csv")
+        proc = run_cli("scan", "--m", "37", "--x", "200000000", "--out", str(tmp_path / "dangling"))
+        assert proc.returncode == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling"]
+        assert not (tmp_path / "dangling").exists()
+
+    def test_dangling_symlink_out_writes_the_target(self, tmp_path):
+        (tmp_path / "link").symlink_to("target.json")
+        proc = run_cli("check", "7", "5", "--json", "--out", str(tmp_path / "link"))
+        assert proc.returncode == 0 and proc.stdout == ""
+        assert (tmp_path / "link").is_symlink()
+        written = json.loads((tmp_path / "target.json").read_text())["payload"]
+        assert written == payload_of(run_cli("check", "7", "5", "--json"))
+
     @pytest.mark.parametrize(
         "args",
         [
