@@ -71,7 +71,10 @@ OTHERS = [
     # many one-member progressions for C9, and C11 (i) at its cap
     "claims --ids C9,C11 --m-max 100 --x 5000 --format json",
     "claims --ids C9,C11 --m-max 24 --x 2 --format json",  # n_max below every shift
+    "goldbach --m-max 4 --format json",  # the smallest m, where some bands are empty
+    "goldbach --m-max 7 --format csv",
     "goldbach --m-max 20000 --format json",
+    "goldbach --m-max 30000",  # the text writer at scale
     "goldbach --m-max 100000 --format json",
     "scan --m 37 --x 3000000 --format csv",
 ]

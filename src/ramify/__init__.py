@@ -33,6 +33,7 @@ from .ramification import (
     character,
     goldbach_counts,
     goldbach_partitions,
+    goldbach_sweep,
     index_of,
     ramifier_witnesses,
     strong_witnesses,
@@ -57,6 +58,7 @@ __all__ = [
     "divisors_in_range",
     "goldbach_counts",
     "goldbach_partitions",
+    "goldbach_sweep",
     "index_of",
     "multi_modulus_ramifiers",
     "prime_table",

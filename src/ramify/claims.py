@@ -21,7 +21,9 @@ counterexample list is non-empty.  Every recorded counterexample can be
 replayed through the core predicates via replay_counterexample.
 
 Claims that only count read bulk answers: C5 takes its partition counts
-from the prime bitset (``goldbach_counts``), C8 its count from the
+from the prime-pair word of each even m (``goldbach_counts``, the counts
+of ``ramification.goldbach_sweep``) and holds them against the point
+search ``admits_strong_ramifier``, C8 its count from the
 closed-form band counts, C9 its witness pairs (n, r) from the sieve's
 progressions (``counting._progressions``), one member at a time, C10 and
 C11 properties (i) and (iv) the flag row of each modulus from one packed

@@ -27,7 +27,7 @@ from . import __version__
 from .arith import DEFAULT_BUDGET_BITS, ResourceBudgetError, is_prime, prime_table
 from .claims import CLAIMS, ClaimInfo, Verdict, report_rows, run_claim
 from .counting import build_sieve, summarize_sieve
-from .ramification import StrongWitness, admits_strong_ramifier, goldbach_counts, index_of
+from .ramification import goldbach_sweep, index_of
 
 LIST_CAP = 10_000  # scan payloads above this many ramifiers are truncated
 
@@ -235,15 +235,25 @@ _GOLDBACH_ROW_NULL = _row_template({"certificate": None, "m": "%d", "partitions"
 
 
 def _goldbach_rows(
-    ms: Iterable[int], counts: Iterable[int], certs: Iterable[StrongWitness | None]
+    ms: Iterable[int], counts: Iterable[int], certs: Iterable[tuple[int, int, int, int] | None]
 ) -> Iterator[str]:
     """The JSON text of the goldbach payload's rows: each m with its
-    partition count and its certificate or null."""
+    partition count and its (n, p1, r, p2) certificate or null."""
     return (
         _GOLDBACH_ROW_NULL % (m, p)
         if c is None
-        else _GOLDBACH_ROW % (c.n, c.p1, c.p2, c.r, m, p)
+        else _GOLDBACH_ROW % (c[0], c[1], c[3], c[2], m, p)  # slots: n, p1, p2, r
         for m, p, c in zip(ms, counts, certs)
+    )
+
+
+def _certificate_fails(m: int, cert: tuple[int, int, int, int], flags: bytes) -> bool:
+    """Whether (n, p1, r, p2) fails to certify a strong ramifier n of modulus
+    m, re-checked from the definition: n = p1 (mod m) and n = p2 (mod r) as
+    canonical residues, p1 + p2 = m, p2 < r < m, and both residues prime."""
+    n, p1, r, p2 = cert
+    return not (
+        n % m == p1 and p1 + p2 == m and p2 < r < m and n % r == p2 and flags[p1] and flags[p2]
     )
 
 
@@ -253,9 +263,13 @@ def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
         return 2
     primes = prime_table(args.m_max)
     ms = range(4, args.m_max + 1, 2)
-    counts = goldbach_counts(args.m_max, primes)
-    certs = [admits_strong_ramifier(m, primes) for m in ms]
-    mismatches = sum(bool(p) != (c is not None) for p, c in zip(counts, certs))
+    counts, certs = goldbach_sweep(args.m_max, primes)
+    # counts and certificates come from one word per m: the re-check of each
+    # certificate against the definition is the independent half
+    mismatches = sum(
+        bool(p) != (c is not None) or (c is not None and _certificate_fails(m, c, primes.flags))
+        for m, p, c in zip(ms, counts, certs)
+    )
 
     def payload() -> dict[str, Any]:
         rows = _goldbach_rows(ms, counts, certs)
@@ -264,14 +278,14 @@ def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
     def text_lines() -> Iterator[str]:
         for m, p, c in zip(ms, counts, certs):
             yield f"m={m}: {p} partitions, " + (
-                "NONE" if c is None else f"n={c.n} p1={c.p1} r={c.r} p2={c.p2}"
+                "NONE" if c is None else "n={} p1={} r={} p2={}".format(*c)
             )
         yield f"equivalence counterexamples: {mismatches}"
 
     def csv_rows() -> Iterator[list]:
         yield ["m", "partitions"] + [f"certificate_{k}" for k in ("n", "p1", "r", "p2")]
         for m, p, c in zip(ms, counts, certs):
-            yield [m, p] + (["", "", "", ""] if c is None else [c.n, c.p1, c.r, c.p2])
+            yield [m, p, *(("", "", "", "") if c is None else c)]
 
     _emit(args, argv, payload, text_lines, csv_rows)
     return 1 if mismatches else 0

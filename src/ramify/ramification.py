@@ -148,6 +148,21 @@ def strong_witnesses(n: int, m: int, primes: PrimeTable) -> list[StrongWitness]:
     return [StrongWitness(m=m, n=n, p1=a1, r=r, p2=a2) for r in _witness_moduli(n, m)]
 
 
+def _least_inner(k: int, a2: int, m: int) -> int:
+    """The least inner modulus r in (a2, m) that divides k = n - a2, for a
+    ramifier n of modulus m, so that one exists.
+
+    k = 0 (the band n = m/2) is divided by every candidate, so r = a2 + 1.
+    Every proper divisor of k is at most k/2, so a k <= 2*a2 has none in the
+    window, and its witness is k itself.  Only the rest scan the window.
+    """
+    if k == 0:
+        return a2 + 1
+    if k <= 2 * a2:
+        return k
+    return divisors_in_range(k, a2 + 1, m - 1)[0]
+
+
 def _least_in_bands(m: int, flags: bytes) -> tuple[int, int, int, int] | None:
     """(n, a1, r, a2) for the least ramifier n < 2m of modulus m whose residues
     a1 and a2 both have flags[a] == 1, with r its least inner modulus; None if
@@ -162,10 +177,7 @@ def _least_in_bands(m: int, flags: bytes) -> tuple[int, int, int, int] | None:
             a1 = n - q * m
             a2 = m - a1
             if flags[a2]:
-                # n = a2 (the band n = m/2) leaves k = 0, which every
-                # candidate divides, so the least one is a2 + 1
-                k = abs(n - a2)
-                return n, a1, divisors_in_range(k, a2 + 1, m - 1)[0] if k else a2 + 1, a2
+                return n, a1, _least_inner(n - a2, a2, m), a2
     return None
 
 
@@ -209,13 +221,25 @@ def goldbach_partitions(m: int, primes: PrimeTable) -> list[tuple[int, int]]:
     ]
 
 
-def goldbach_counts(m_max: int, primes: PrimeTable) -> list[int]:
-    """The number of Goldbach partitions of every even m in [4, m_max], in
-    ascending m: len(goldbach_partitions(m, primes)) without the lists.
+def goldbach_sweep(
+    m_max: int, primes: PrimeTable
+) -> tuple[list[int], list[tuple[int, int, int, int] | None]]:
+    """(counts, certificates) for every even m in [4, m_max], in ascending m:
+    the number of Goldbach partitions of m, len(goldbach_partitions(m,
+    primes)), and the (n, p1, r, p2) of admits_strong_ramifier(m, primes),
+    or None.
 
     With P the prime bitset over [0, m_max] and R its reverse, bit p of
-    R >> (m_max - m) is bit m - p of P, so the pairs (p, m - p) with
-    p <= m/2 are the set bits of P & (R >> (m_max - m)) below m/2 + 1.
+    R >> (m_max - m) is bit m - p of P, so the word X = P & (R >> (m_max - m))
+    has bit p set exactly when p and m - p are both prime.  The partitions
+    are its set bits below m/2 + 1.  The least strong ramifier is read off
+    the same word in the order of _low_bands: n = m/2 if bit m/2 is set;
+    else n = p1 for the lowest bit p1 in (2m/3, m); else n = m + p1 for the
+    lowest bit p1 in (m/3, m/2), where k = n - p2 = 2*p1 is its own witness.
+    X is symmetric about m/2, and its bits m/3 and 2m/3 are clear (where 3
+    divides the even m both are even, and m = 6 leaves 2m/3 = 4), so a pair
+    whose p1 lies in (m/2, 2m/3), or in the band above 3m/2, has its p2 in
+    (m/3, m/2), found first.
     """
     if m_max < 4:
         raise ValueError("m_max must be >= 4")
@@ -223,7 +247,30 @@ def goldbach_counts(m_max: int, primes: PrimeTable) -> list[int]:
         raise ValueError(f"prime table reaches {primes.limit}, need >= {m_max}")
     P = bitset(primes.flags[: m_max + 1])
     R = bitset(primes.flags[m_max::-1])
-    return [
-        (P & (R >> (m_max - m)) & ((1 << (m // 2 + 1)) - 1)).bit_count()
-        for m in range(4, m_max + 1, 2)
-    ]
+    counts = []
+    certs: list[tuple[int, int, int, int] | None] = []
+    for m in range(4, m_max + 1, 2):
+        X = P & (R >> (m_max - m))  # no bit above m: flags[0] is 0
+        half = m // 2
+        counts.append((X & ((1 << (half + 1)) - 1)).bit_count())
+        if primes.flags[half]:  # bit m/2 of X
+            certs.append((half, half, half + 1, half))
+        elif low := X & ((1 << (m - 2 * m // 3)) - 1):
+            # the lowest bit n in (2m/3, m) mirrors the highest in (0, m/3),
+            # which one truncation and bit_length find without a shift
+            p2 = low.bit_length() - 1
+            n = m - p2
+            certs.append((n, n, _least_inner(n - p2, p2, m), p2))
+        elif X:  # no bit in (0, m/3), nor in its mirror: the lowest is p1
+            p1 = (X & -X).bit_length() - 1
+            certs.append((m + p1, p1, 2 * p1, m - p1))
+        else:
+            certs.append(None)
+    return counts, certs
+
+
+def goldbach_counts(m_max: int, primes: PrimeTable) -> list[int]:
+    """The number of Goldbach partitions of every even m in [4, m_max], in
+    ascending m: len(goldbach_partitions(m, primes)) without the lists, the
+    counts of goldbach_sweep."""
+    return goldbach_sweep(m_max, primes)[0]

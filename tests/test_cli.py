@@ -16,12 +16,7 @@ from ramify import __version__, cli
 from ramify.arith import DEFAULT_BUDGET_BITS, prime_table
 from ramify.claims import CLAIMS
 from ramify.counting import _ROW_BITS_PER_N
-from ramify.ramification import (
-    StrongWitness,
-    admits_strong_ramifier,
-    goldbach_partitions,
-    index_of,
-)
+from ramify.ramification import admits_strong_ramifier, goldbach_partitions, index_of
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -646,6 +641,27 @@ class TestGoldbach:
         assert proc.returncode == 0
         assert without_timestamp(proc.stdout) == (GOLDEN / golden).read_text()
 
+    @pytest.mark.parametrize(
+        "cert",
+        [(17, 5, 11, 7), (39, 3, 10, 9)],  # m = 12: 17 % 11 = 6, not 7; p2 = 9 composite
+        ids=["wrong-r", "composite-p2"],
+    )
+    def test_bad_certificate_is_a_mismatch(self, cert, monkeypatch):
+        # the counts and certificates come from one word, so only the re-check
+        # of each certificate against the definition can see either of these
+        real = cli.goldbach_sweep
+
+        def sweep(m_max, primes):
+            counts, certs = real(m_max, primes)
+            assert certs[4] == (17, 5, 10, 7)  # m = 12
+            certs[4] = cert
+            return counts, certs
+
+        monkeypatch.setattr(cli, "goldbach_sweep", sweep)
+        code, text = main_to_stdout(["goldbach", "--m-max", "20", "--json"])
+        assert json.loads(text)["payload"]["mismatches"] == 1
+        assert code == 1
+
 
 class TestEnvelope:
     @pytest.mark.parametrize(
@@ -683,11 +699,12 @@ def dumped_envelope(argv, payload):
 
 
 def goldbach_row_dicts(ms, counts, certs):
+    """The rows as dicts, each certificate an (n, p1, r, p2) tuple or None."""
     return [
         {
             "m": m,
             "partitions": p,
-            "certificate": None if c is None else {"n": c.n, "p1": c.p1, "r": c.r, "p2": c.p2},
+            "certificate": None if c is None else dict(zip(("n", "p1", "r", "p2"), c)),
         }
         for m, p, c in zip(ms, counts, certs)
     ]
@@ -700,6 +717,7 @@ def goldbach_payload_by_dicts(m_max):
     ms = range(4, m_max + 1, 2)
     counts = [len(goldbach_partitions(m, primes)) for m in ms]
     certs = [admits_strong_ramifier(m, primes) for m in ms]
+    certs = [c and (c.n, c.p1, c.r, c.p2) for c in certs]
     rows = goldbach_row_dicts(ms, counts, certs)
     mismatches = sum(bool(p) != (c is not None) for p, c in zip(counts, certs))
     return {"rows": rows, "checked": len(rows), "mismatches": mismatches}
@@ -731,7 +749,7 @@ def main_to_file(args, out):
     return code, out.read_text()
 
 
-CERT = StrongWitness(m=10, n=5, p1=5, r=6, p2=5)
+CERT = (5, 5, 6, 5)  # (n, p1, r, p2) of m = 10
 
 
 class TestJsonRows:
@@ -741,9 +759,9 @@ class TestJsonRows:
     @pytest.mark.parametrize(
         "certs",
         [
-            [CERT, StrongWitness(12, 7, 7, 8, 5), StrongWitness(14, 7, 7, 12, 7)],
+            [CERT, (7, 7, 8, 5), (7, 7, 12, 7)],
             [None, None, None],
-            [None, CERT, None, StrongWitness(123456, 98765, 98765, 4321, 24691), None],
+            [None, CERT, None, (98765, 98765, 4321, 24691), None],
             [CERT],
             [None],
             [],

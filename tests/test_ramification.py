@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import count
+from itertools import compress, count
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 from clirun import run_python
 
 from ramify import ramification
-from ramify.arith import divisors_in_range, prime_table
+from ramify.arith import PrimeTable, divisors_in_range, prime_table
 from ramify.counting import _low_bands
 from ramify.ramification import (
     StrongWitness,
     Witness,
+    _least_inner,
     _witness_moduli,
     admits_ramifier,
     admits_strong_ramifier,
     character,
     goldbach_counts,
     goldbach_partitions,
+    goldbach_sweep,
     index_of,
     ramifier_witnesses,
     strong_witnesses,
@@ -354,6 +356,95 @@ class TestLeastInBands:
         for m in range(4, 10_001, 2):
             sw = admits_strong_ramifier(m, primes_10k)
             assert (sw and (sw.n, sw.p1, sw.r, sw.p2)) == list_route_least(m, strong), m
+
+
+def unscanned_band_ramifiers(m, flags, all_below):
+    """(c, ns) for each band of _low_bands(m, 2m - 1): c = (q + 1)*m, so that
+    n has a2 = c - n and k = n - a2 = 2n - c, and ns its ramifiers n whose
+    residues both have flags[a] == 1.  For m >= all_below, ns keeps only the
+    n that _least_inner answers without a scan, k <= 2*a2, that is
+    n <= 3c/4; on the rest it returns divisors_in_range's own first divisor."""
+    for band in _low_bands(m, 2 * m - 1):
+        c = (band.start // m + 1) * m
+        stop = band.stop if m < all_below else min(band.stop, 3 * c // 4 + 1)
+        ns = compress(range(band.start, stop), flags[band.start - c + m : stop - c + m])
+        yield c, [n for n in ns if flags[c - n]]
+
+
+class TestLeastInner:
+    """_least_inner(k, a2, m) against divisors_in_range(k, a2 + 1, m - 1)[0]."""
+
+    def check(self, m, flags, all_below):
+        for c, ns in unscanned_band_ramifiers(m, flags, all_below):
+            got = [_least_inner(2 * n - c, c - n, m) for n in ns]
+            assert got == [divisors_in_range(2 * n - c, c - n + 1, m - 1)[0] for n in ns], m
+
+    def test_every_band_ramifier(self):
+        # every n < 2m of every m <= 600; to 3,000 where it scans nothing
+        ones = b"\x01" * 3000
+        for m in range(2, 3001):
+            self.check(m, ones, 601)
+
+    def test_every_strong_band_ramifier(self):
+        # both residues prime: every n of every m <= 3,000; to 2*10^4 where it
+        # scans nothing
+        flags = prime_table(20_000).flags
+        for m in range(2, 20_001):
+            self.check(m, flags, 3001)
+
+    def test_fixed_cases(self):
+        # (k, a2, m) of the ramifiers n = 5 of m = 10, and n = 9, 11 of m = 12
+        assert _least_inner(0, 5, 10) == 6  # n = m/2: every candidate divides 0
+        assert _least_inner(6, 3, 12) == 6  # k <= 2*a2: k itself
+        assert _least_inner(10, 1, 12) == 2  # k > 2*a2: the least divisor in (1, 12)
+
+
+class TestGoldbachSweep:
+    def test_matches_partitions_and_list_route_to_2e4(self):
+        primes = prime_table(20_000)
+        strong = lambda a1, a2: primes.flags[a1] and primes.flags[a2]  # noqa: E731
+        counts, certs = goldbach_sweep(20_000, primes)
+        ms = range(4, 20_001, 2)
+        assert len(counts) == len(certs) == len(ms)
+        for m, p, c in zip(ms, counts, certs):
+            assert p == len(goldbach_partitions(m, primes)), m
+            assert c == list_route_least(m, strong), m
+            sw = admits_strong_ramifier(m, primes)
+            assert c == (sw and (sw.n, sw.p1, sw.r, sw.p2)), m
+            StrongWitness(m, *c).validate()
+
+    @pytest.mark.parametrize("m_max", [*range(4, 14), 199, 201])
+    @pytest.mark.parametrize("over", [0, 13], ids=["sized", "longer-table"])
+    def test_small_and_odd_m_max(self, m_max, over):
+        # a table longer than m_max shows an R shifted from the table's end
+        primes = prime_table(m_max + over)
+        strong = lambda a1, a2: primes.flags[a1] and primes.flags[a2]  # noqa: E731
+        ms = range(4, m_max + 1, 2)
+        counts, certs = goldbach_sweep(m_max, primes)
+        assert counts == [len(goldbach_partitions(m, primes)) for m in ms]
+        assert certs == [list_route_least(m, strong) for m in ms]
+        assert goldbach_counts(m_max, primes) == counts
+
+    def test_sparse_flag_table(self):
+        # flags that are not the primes: only 2, 3, 5, 7 and 13 set, so most
+        # even m have no pair, and the rest show each of the three cases
+        flags = bytes(p in (2, 3, 5, 7, 13) for p in range(41))
+        table = PrimeTable(limit=40, flags=flags)
+        ok = lambda a1, a2: flags[a1] and flags[a2]  # noqa: E731
+        counts, certs = goldbach_sweep(40, table)
+        ms = range(4, 41, 2)
+        assert counts == [len(goldbach_partitions(m, table)) for m in ms]
+        assert certs == [list_route_least(m, ok) for m in ms]
+        assert certs[ms.index(10)] == (5, 5, 6, 5)  # n = m/2
+        assert certs[ms.index(16)] == (13, 13, 5, 3)  # n = p1, r from a window scan
+        assert certs[ms.index(12)] == (17, 5, 10, 7)  # n = m + p1
+        assert certs[ms.index(22)] is None
+
+    def test_domain_guards(self, primes_200):
+        with pytest.raises(ValueError):
+            goldbach_sweep(3, primes_200)
+        with pytest.raises(ValueError):
+            goldbach_sweep(201, primes_200)
 
 
 class TestAdmitsStrongRamifier:
