@@ -71,6 +71,9 @@ OTHERS = [
     # many one-member progressions for C9, and C11 (i) at its cap
     "claims --ids C9,C11 --m-max 100 --x 5000 --format json",
     "claims --ids C9,C11 --m-max 24 --x 2 --format json",  # n_max below every shift
+    "claims --ids C5 --m-max 20000 --format json",  # C5 on the goldbach sweep and rule
+    # admits_ramifier on every m <= 5000 for C1, and below threshold(10^6) for C13
+    "claims --ids C1,C13 --m-max 5000 --x 1000000 --format json",
     "goldbach --m-max 4 --format json",  # the smallest m, where some bands are empty
     "goldbach --m-max 7 --format csv",
     "goldbach --m-max 20000 --format json",

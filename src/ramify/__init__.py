@@ -31,7 +31,6 @@ from .ramification import (
     admits_ramifier,
     admits_strong_ramifier,
     character,
-    goldbach_counts,
     goldbach_partitions,
     goldbach_sweep,
     index_of,
@@ -56,7 +55,6 @@ __all__ = [
     "character",
     "count_ramifiers",
     "divisors_in_range",
-    "goldbach_counts",
     "goldbach_partitions",
     "goldbach_sweep",
     "index_of",

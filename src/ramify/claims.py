@@ -20,10 +20,10 @@ HOLDS_AT_SCALE, or FAILS_WITH_COUNTEREXAMPLE exactly when the
 counterexample list is non-empty.  Every recorded counterexample can be
 replayed through the core predicates via replay_counterexample.
 
-Claims that only count read bulk answers: C5 takes its partition counts
-from the prime-pair word of each even m (``goldbach_counts``, the counts
-of ``ramification.goldbach_sweep``) and holds them against the point
-search ``admits_strong_ramifier``, C8 its count from the
+Claims that only count read bulk answers: C5 takes each even m's
+partition count and least strong ramifier from one prime-pair word
+(``ramification.goldbach_sweep``) and checks them with the rule that
+``ramify goldbach`` uses (``goldbach_mismatch``), C8 its count from the
 closed-form band counts, C9 its witness pairs (n, r) from the sieve's
 progressions (``counting._progressions``), one member at a time, C10 and
 C11 properties (i) and (iv) the flag row of each modulus from one packed
@@ -59,8 +59,9 @@ from .ramification import (
     admits_ramifier,
     admits_strong_ramifier,
     character,
-    goldbach_counts,
+    goldbach_mismatch,
     goldbach_partitions,
+    goldbach_sweep,
     ramifier_witnesses,
 )
 
@@ -295,37 +296,33 @@ def claim_upper_bound(
 def claim_goldbach_equivalence(m_max: int = 1000) -> ClaimReport:
     """An even m >= 4 admits a strong ramifier iff m is a sum of two primes.
 
-    Forward is definitional; backward is checked by running the actual
-    search."""
+    Forward is definitional.  Backward reads each m's partition count and
+    least strong ramifier off one sweep (``goldbach_sweep``) and records
+    every m that ``goldbach_mismatch`` rejects: count and certificate
+    disagree on existence, or the certificate fails its re-check against
+    the definition."""
     if m_max < 4:
         raise ValueError("m_max must be >= 4")
     primes = prime_table(m_max)
+    ms = range(4, m_max + 1, 2)
+    counts, certs = goldbach_sweep(m_max, primes)
     counterexamples = []
-    checked = 0
     certified = 0
-    counts = goldbach_counts(m_max, primes)
-    for m, partitions in zip(range(4, m_max + 1, 2), counts):
-        checked += 1
-        cert = admits_strong_ramifier(m, primes)
-        if bool(partitions) != (cert is not None):
+    for m, partitions, cert in zip(ms, counts, certs):
+        if goldbach_mismatch(m, partitions, cert, primes):
             counterexamples.append(
-                {
-                    "m": m,
-                    "partitions": partitions,
-                    "certificate_found": cert is not None,
-                }
+                {"m": m, "partitions": partitions, "certificate_found": cert is not None}
             )
         elif cert is not None:
-            cert.validate()
             certified += 1
     notes = [
-        f"{checked} even moduli swept, {certified} certificates found and re-validated",
+        f"{len(ms)} even moduli swept, {certified} certificates found and re-validated",
         "read under canonical residues with the ramifying integer free to differ "
         "from the modulus; the literal self-modulus reading would force residue 0",
     ]
     return _finish(
         "C5",
-        {"m_max": m_max, "checked": checked},
+        {"m_max": m_max, "checked": len(ms)},
         0,
         len(counterexamples),
         notes,
@@ -469,19 +466,17 @@ def claim_circle(
 
 
 _SHIFT_CAP = 8  # factorial shifts grow too fast beyond 8!
+#: The (i) counterexamples C11 records per modulus, so that every failing
+#: modulus stays represented in the report.
+MAX_COUNTEREXAMPLES = 25
 
 
 @_claim("C11", "character-properties", "proposition")
-def claim_character_properties(
-    m_max: int = 10, n_max: int = 200, max_counterexamples: int = 25
-) -> ClaimReport:
+def claim_character_properties(m_max: int = 10, n_max: int = 200) -> ClaimReport:
     """The five stated character identities.
     (i) invariance under n -> n + 2m, (ii) invariance under n -> n + m!,
     (iii) vanishing at 1, (iv) vanishing on the residue classes 0 and 1,
-    (v) multiplicativity against m!.
-
-    max_counterexamples caps the recorded list per modulus, so every
-    failing modulus stays represented in the report."""
+    (v) multiplicativity against m!."""
     counterexamples: list[dict] = []
     total_i = 0
     zero_one: list[tuple[int, int]] = []  # the (m, n) of (iv) that ramify
@@ -502,7 +497,7 @@ def claim_character_properties(
         counterexamples += [
             {"property": "i", "m": m, "n": n,
              "value_at_n": flags[n], "value_at_shift": flags[n + 2 * m]}
-            for n in islice(compress(range(2, n_max + 1), differ), max(max_counterexamples, 0))
+            for n in islice(compress(range(2, n_max + 1), differ), MAX_COUNTEREXAMPLES)
         ]
     fails_ii = fails_v = 0
     for m in range(2, min(m_max, _SHIFT_CAP) + 1):
@@ -523,7 +518,7 @@ def claim_character_properties(
     recorded_i = sum(1 for c in counterexamples if c["property"] == "i")
     notes = [
         f"(i) fails {total_i} times for m <= {m_max}, n <= {n_max}"
-        f" ({recorded_i} recorded, at most {max_counterexamples} per modulus);"
+        f" ({recorded_i} recorded, at most {MAX_COUNTEREXAMPLES} per modulus);"
         " whether a restricted domain was intended is left open",
         f"(ii) exhaustive for m <= {min(m_max, _SHIFT_CAP)}: {fails_ii} failures",
         "(iii) the value at 1 lies below the n >= 2 domain; vacuously consistent",
@@ -532,7 +527,7 @@ def claim_character_properties(
     ]
     return _finish(
         "C11",
-        {"m_max": m_max, "n_max": n_max, "max_counterexamples": max_counterexamples},
+        {"m_max": m_max, "n_max": n_max, "max_counterexamples": MAX_COUNTEREXAMPLES},
         0,
         total_i + fails_ii + fails_iv + fails_v,
         notes,

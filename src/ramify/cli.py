@@ -20,14 +20,14 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import asdict
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import IO, Any
 
 from . import __version__
 from .arith import DEFAULT_BUDGET_BITS, ResourceBudgetError, is_prime, prime_table
 from .claims import CLAIMS, ClaimInfo, Verdict, report_rows, run_claim
 from .counting import build_sieve, summarize_sieve
-from .ramification import goldbach_sweep, index_of
+from .ramification import goldbach_mismatch, goldbach_sweep, index_of
 
 LIST_CAP = 10_000  # scan payloads above this many ramifiers are truncated
 
@@ -247,16 +247,6 @@ def _goldbach_rows(
     )
 
 
-def _certificate_fails(m: int, cert: tuple[int, int, int, int], flags: bytes) -> bool:
-    """Whether (n, p1, r, p2) fails to certify a strong ramifier n of modulus
-    m, re-checked from the definition: n = p1 (mod m) and n = p2 (mod r) as
-    canonical residues, p1 + p2 = m, p2 < r < m, and both residues prime."""
-    n, p1, r, p2 = cert
-    return not (
-        n % m == p1 and p1 + p2 == m and p2 < r < m and n % r == p2 and flags[p1] and flags[p2]
-    )
-
-
 def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
     if args.m_max < 4:
         print("--m-max must be >= 4", file=sys.stderr)
@@ -264,12 +254,7 @@ def _cmd_goldbach(args: argparse.Namespace, argv: list[str]) -> int:
     primes = prime_table(args.m_max)
     ms = range(4, args.m_max + 1, 2)
     counts, certs = goldbach_sweep(args.m_max, primes)
-    # counts and certificates come from one word per m: the re-check of each
-    # certificate against the definition is the independent half
-    mismatches = sum(
-        bool(p) != (c is not None) or (c is not None and _certificate_fails(m, c, primes.flags))
-        for m, p, c in zip(ms, counts, certs)
-    )
+    mismatches = sum(map(goldbach_mismatch, ms, counts, certs, repeat(primes)))
 
     def payload() -> dict[str, Any]:
         rows = _goldbach_rows(ms, counts, certs)

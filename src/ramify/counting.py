@@ -31,11 +31,6 @@ class RamifierSieve:
     x: int
     flags: bytes
 
-    def bit(self, n: int) -> bool:
-        if not 2 <= n <= self.x:
-            raise ValueError(f"n={n} outside sieve range 2..{self.x}")
-        return self.flags[n] == 1
-
     def ramifiers(self) -> list[int]:
         return list(compress(range(self.x + 1), self.flags))
 

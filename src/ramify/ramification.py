@@ -62,11 +62,8 @@ class StrongWitness:
     r: int
     p2: int
 
-    def as_witness(self) -> Witness:
-        return Witness(m=self.m, n=self.n, a1=self.p1, r=self.r, a2=self.p2)
-
     def validate(self) -> None:
-        self.as_witness().validate()
+        Witness(m=self.m, n=self.n, a1=self.p1, r=self.r, a2=self.p2).validate()
         for p in (self.p1, self.p2):
             if not is_prime(p):
                 raise ValueError(f"residue {p} is not prime")
@@ -163,48 +160,45 @@ def _least_inner(k: int, a2: int, m: int) -> int:
     return divisors_in_range(k, a2 + 1, m - 1)[0]
 
 
-def _least_in_bands(m: int, flags: bytes) -> tuple[int, int, int, int] | None:
-    """(n, a1, r, a2) for the least ramifier n < 2m of modulus m whose residues
-    a1 and a2 both have flags[a] == 1, with r its least inner modulus; None if
-    there is none.  flags must reach index m - 1.
-
-    A band lies inside one quotient q, so its residues a1 = n - q*m are one
-    slice of flags, and only the candidates that pass it test flags[a2].
-    """
-    for band in _low_bands(m, 2 * m - 1):
-        q = band.start // m
-        for n in compress(band, flags[band.start - q * m : band.stop - q * m]):
-            a1 = n - q * m
-            a2 = m - a1
-            if flags[a2]:
-                return n, a1, _least_inner(n - a2, a2, m), a2
-    return None
-
-
 def admits_ramifier(m: int) -> Witness | None:
     """Witness with the least ramifying n for modulus m (ties: least r).
 
     Every m >= 3 has the ramifier 2m - 1 (a1 = m - 1, a2 = 1, r = 2), so the
-    least one lies in the closed-form bands n < 2m.
+    least one lies in the closed-form bands n < 2m, and it is the first
+    member of the first band that is not empty.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    found = _least_in_bands(m, b"\x01" * m)
-    return None if found is None else Witness(m, *found)
+    for band in _low_bands(m, 2 * m - 1):
+        if band:
+            n = band.start
+            a1 = n % m
+            a2 = m - a1
+            return Witness(m, n, a1, _least_inner(n - a2, a2, m), a2)
+    return None
 
 
 def admits_strong_ramifier(m: int, primes: PrimeTable) -> StrongWitness | None:
     """Strong witness with the least ramifying n for modulus m, if any.
 
     Every strong split is realised below 2m, so the bands suffice here too;
-    the prime flags are the residues they admit.
+    the prime flags are the residues they admit.  A band lies inside one
+    quotient q, so its residues a1 = n - q*m are one slice of the flags, and
+    only the candidates that pass it test the flag of a2.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if primes.limit < m:
         raise ValueError(f"prime table reaches {primes.limit}, need >= {m}")
-    found = _least_in_bands(m, primes.flags)
-    return None if found is None else StrongWitness(m, *found)
+    flags = primes.flags
+    for band in _low_bands(m, 2 * m - 1):
+        q = band.start // m
+        for n in compress(band, flags[band.start - q * m : band.stop - q * m]):
+            a1 = n - q * m
+            a2 = m - a1
+            if flags[a2]:
+                return StrongWitness(m, n, a1, _least_inner(n - a2, a2, m), a2)
+    return None
 
 
 def goldbach_partitions(m: int, primes: PrimeTable) -> list[tuple[int, int]]:
@@ -269,8 +263,22 @@ def goldbach_sweep(
     return counts, certs
 
 
-def goldbach_counts(m_max: int, primes: PrimeTable) -> list[int]:
-    """The number of Goldbach partitions of every even m in [4, m_max], in
-    ascending m: len(goldbach_partitions(m, primes)) without the lists, the
-    counts of goldbach_sweep."""
-    return goldbach_sweep(m_max, primes)[0]
+def goldbach_mismatch(
+    m: int, count: int, cert: tuple[int, int, int, int] | None, primes: PrimeTable
+) -> bool:
+    """Whether even m's partition count and (n, p1, r, p2) certificate from
+    goldbach_sweep fail the equivalence: they disagree on whether a prime
+    pair exists, or the certificate fails a re-check against the definition
+    (n = p1 mod m and n = p2 mod r as canonical residues, p1 + p2 = m,
+    p2 < r < m, and both residues prime).
+
+    The counts and certificates come from one word per m, so this re-check
+    is the independent half of the sweep.
+    """
+    if cert is None:
+        return count > 0
+    n, p1, r, p2 = cert
+    flags = primes.flags
+    return not count or not (
+        n % m == p1 and p1 + p2 == m and p2 < r < m and n % r == p2 and flags[p1] and flags[p2]
+    )

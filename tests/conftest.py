@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import naive_set
+
 from ramify.arith import prime_table
 
 _acceptance_outcomes: dict[str, str] = {}
@@ -19,10 +21,7 @@ def primes_10k():
 def naive_sets_200():
     """Naive ramifier lists to x = 200 per modulus, straight off the
     definition; the list for a smaller x is a prefix of these."""
-    return {
-        m: [n for n in range(2, 201) if any(n % r == m - n % m for r in range(2, m))]
-        for m in range(2, 201)
-    }
+    return {m: naive_set(m, 200) for m in range(2, 201)}
 
 
 def pytest_runtest_logreport(report):

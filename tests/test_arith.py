@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_is_prime
+
 from ramify import arith
 from ramify.arith import (
     _SMOOTH_MAX,
@@ -23,10 +25,6 @@ from ramify.arith import (
 _flags = st.binary(max_size=200).map(lambda b: bytes(c & 1 for c in b)) | st.builds(
     lambda bit, k: bytes([bit]) * k, st.sampled_from([0, 1]), st.integers(0, 200)
 )
-
-
-def trial_is_prime(v):
-    return v >= 2 and all(v % d for d in range(2, math.isqrt(v) + 1))
 
 
 class TestPrimeTable:
@@ -47,10 +45,10 @@ class TestPrimeTable:
     def test_agrees_with_trial_division(self):
         pt = prime_table(10_000)
         for p in range(10_001):
-            assert pt.is_prime(p) == trial_is_prime(p), p
+            assert pt.is_prime(p) == naive_is_prime(p), p
         # one flag byte, 0 or 1, per n in [0, limit]
         assert type(pt.flags) is bytes
-        assert pt.flags == bytes(trial_is_prime(p) for p in range(10_001))
+        assert pt.flags == bytes(naive_is_prime(p) for p in range(10_001))
 
     def test_budget(self):
         # one byte per n in [0, limit], checked before anything is allocated
@@ -203,7 +201,7 @@ def _smooth(a, b, c, d):
 
 def _next_prime_above(v):
     v += 1
-    while not trial_is_prime(v):
+    while not naive_is_prime(v):
         v += 1
     return v
 
@@ -374,7 +372,7 @@ class TestIsPrime:
         ],
     )
     def test_against_trial_division(self, p):
-        assert is_prime(p) == trial_is_prime(p)
+        assert is_prime(p) == naive_is_prime(p)
 
     def test_scan_cap(self, monkeypatch):
         # only a window that reaches 2**14 takes the capped scan, so the cap
@@ -408,7 +406,7 @@ class TestBitset:
     @given(_flags.filter(len), st.integers(0, 199))
     @example(b"\x01" * 9, 8)
     def test_reversed_slice(self, flags, k):
-        # goldbach_counts reads the prime table backwards from m_max:
+        # goldbach_sweep reads the prime table backwards from m_max:
         # bit k - n of the reversed slice is flags[n]
         k %= len(flags)
         assert bitset(flags[k::-1]) == sum(1 << (k - n) for n in range(k + 1) if flags[n])

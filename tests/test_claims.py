@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clirun import run_python
+from oracles import naive_set
 
 from ramify import claims
 from ramify.arith import ResourceBudgetError
@@ -89,6 +90,14 @@ def first_per_modulus(mismatches, cap):
     return [c for cs in kept.values() for c in cs[:cap]]
 
 
+def character_properties(m_max, n_max, cap):
+    """C11 with its per-modulus cap on the recorded (i) counterexamples set
+    to cap for this one run."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(claims, "MAX_COUNTEREXAMPLES", cap)
+        return claim_character_properties(m_max, n_max)
+
+
 def shift_part(report):
     """The (i) total from the notes and the recorded (i) counterexamples."""
     total = int(report.notes.split("(i) fails ")[1].split(" ")[0])
@@ -164,8 +173,7 @@ class TestRegistry:
         for info in CLAIMS.values():
             assert inspect.getdoc(info.runner).startswith(info.statement)
             assert info.parameters == tuple(inspect.signature(info.runner).parameters)
-        assert CLAIMS["C11"].parameters == ("m_max", "n_max", "max_counterexamples")
-        assert "max_counterexamples" not in CLAIMS["C11"].statement
+        assert CLAIMS["C11"].parameters == ("m_max", "n_max")
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
@@ -253,15 +261,9 @@ class TestBoundClaims:
         assert "trivial ceiling" in r.notes
 
     def test_double_sum_matches_oracle(self):
-        def naive_count(m, x):
-            return sum(
-                1 for n in range(2, x + 1)
-                if any(n % r == m - n % m for r in range(2, m))
-            )
-
         r = claim_double_sum((20, 50))
-        assert r.actual[0] == sum(naive_count(m, 20) for m in range(2, 21))
-        assert r.actual[1] == sum(naive_count(m, 50) for m in range(2, 51))
+        assert r.actual[0] == sum(len(naive_set(m, 20)) for m in range(2, 21))
+        assert r.actual[1] == sum(len(naive_set(m, 50)) for m in range(2, 51))
         assert r.claimed[0] == pytest.approx(20 * math.log(20) / 2)
         assert "[5, 20]" in r.notes
 
@@ -577,7 +579,7 @@ class TestRowRoute:
     @pytest.mark.parametrize("m_max, n_max", [(60, 3000), (300, 100), (12, 200)])
     @pytest.mark.parametrize("cap", [0, 1, 25])
     def test_shift_and_zero_one(self, m_max, n_max, cap):
-        r = claim_character_properties(m_max, n_max, cap)
+        r = character_properties(m_max, n_max, cap)
         found_i, total_i, found_iv = shift_and_zero_one_by_sieves(m_max, n_max, cap)
         got = {p: [c for c in r.counterexamples if c["property"] == p] for p in ("i", "iv")}
         assert got["i"] == found_i
@@ -604,25 +606,22 @@ class TestCharacterProperties:
         assert "(iii) the value at 1" in r.notes
 
     def test_counterexample_cap_is_per_modulus(self):
-        r = claim_character_properties(10, 200, max_counterexamples=5)
+        r = character_properties(10, 200, 5)
         per_m: dict[int, int] = {}
         for c in r.counterexamples:
             if c["property"] == "i":
                 per_m[c["m"]] = per_m.get(c["m"], 0) + 1
         assert per_m and all(v <= 5 for v in per_m.values())
         # the cap keeps every failing modulus represented
-        full = claim_character_properties(10, 200, max_counterexamples=10**6)
+        full = character_properties(10, 200, 10**6)
         assert set(per_m) == {c["m"] for c in full.counterexamples if c["property"] == "i"}
-
-    def test_negative_cap_records_nothing(self):
-        assert shift_part(claim_character_properties(10, 200, max_counterexamples=-1)) == (361, [])
 
 
 class TestShiftBulkRoute:
     def test_matches_point_calls_at_60_3000(self):
         mismatches = shift_by_point_calls(60, 3000)
         for cap in (0, 1, 25):
-            r = claim_character_properties(60, 3000, max_counterexamples=cap)
+            r = character_properties(60, 3000, cap)
             assert shift_part(r) == (len(mismatches), first_per_modulus(mismatches, cap))
 
     @given(
@@ -633,7 +632,7 @@ class TestShiftBulkRoute:
     @settings(max_examples=60, deadline=None)
     def test_matches_point_calls_random(self, m_max, n_max, cap):
         mismatches = shift_by_point_calls(m_max, n_max)
-        r = claim_character_properties(m_max, n_max, max_counterexamples=cap)
+        r = character_properties(m_max, n_max, cap)
         assert shift_part(r) == (len(mismatches), first_per_modulus(mismatches, cap))
 
     def test_fixed_total(self):
@@ -662,7 +661,7 @@ class TestFactorialShiftRowRoute:
         fails, found = factorial_shifts_by_point_calls(m_max, n_max)
         cap = min(m_max, 8)
         for max_counterexamples in (0, 1, 25):
-            r = claim_character_properties(m_max, n_max, max_counterexamples)
+            r = character_properties(m_max, n_max, max_counterexamples)
             assert f"(ii) exhaustive for m <= {cap}: {fails['ii']} failures" in r.notes
             assert f"(iv) exhaustive: {fails['iv']} failures" in r.notes
             assert f"(v) exhaustive for m <= {cap}: {fails['v']} failures" in r.notes
@@ -753,9 +752,17 @@ class TestReplayFabricated:
         assert not replay_counterexample("C3", cx)
 
     def test_goldbach_equivalence(self, monkeypatch):
-        real = claims.admits_strong_ramifier
+        # the sweep records the missing certificate, the point search replays it
+        real_sweep, real_point = claims.goldbach_sweep, claims.admits_strong_ramifier
+
+        def sweep(m_max, primes):
+            counts, certs = real_sweep(m_max, primes)
+            certs[3] = None  # m = 10
+            return counts, certs
+
+        monkeypatch.setattr(claims, "goldbach_sweep", sweep)
         monkeypatch.setattr(
-            claims, "admits_strong_ramifier", lambda m, p: None if m == 10 else real(m, p)
+            claims, "admits_strong_ramifier", lambda m, p: None if m == 10 else real_point(m, p)
         )
         r = claim_goldbach_equivalence(20)
         assert r.counterexamples == [{"m": 10, "partitions": 2, "certificate_found": False}]

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from clirun import popen_cli, run_cli, run_python
+from oracles import naive_is_prime, naive_witness_rs
 
-from ramify import __version__, cli
+from ramify import __version__, claims, cli
 from ramify.arith import DEFAULT_BUDGET_BITS, prime_table
 from ramify.claims import CLAIMS
 from ramify.counting import _ROW_BITS_PER_N
@@ -160,10 +161,10 @@ class TestCheck:
         # windows reaching 2**14 with more than 256 candidates take the scan
         proc = run_cli("check", str(n), str(m), "--strong", "--json")
         payload = payload_of(proc)
-        expected = [r for r in range(2, m) if n % r == m - n % m]
+        expected = naive_witness_rs(n, m)
         assert payload["all_indices"] == expected
         a1 = n % m
-        strong = _is_prime(a1) and _is_prime(m - a1)
+        strong = naive_is_prime(a1) and naive_is_prime(m - a1)
         assert [w["r"] for w in payload["witnesses"]] == (expected if strong else [])
         assert proc.returncode == (0 if strong and expected else 1)
 
@@ -218,7 +219,8 @@ def check_grid_pairs():
     pairs += [(20, 40), (300, 600), (129, 258)]
     for m in (8, 30, 98, 300, 514, 1000, 4002, 9998):
         for _ in range(2):
-            a1 = rng.choice([p for p in range(3, m - 2) if _is_prime(p) and _is_prime(m - p)])
+            primes = [p for p in range(3, m - 2) if naive_is_prime(p) and naive_is_prime(m - p)]
+            a1 = rng.choice(primes)
             a2 = m - a1
             rs = [r for r in range(a2 + 1, m) if (a1 - a2) % math.gcd(m, r) == 0]
             r = rng.choice(rs)  # n = a1 (mod m) and n = a2 (mod r) is solvable
@@ -236,10 +238,6 @@ def _largest_prime(v):
         else:
             v //= d
     return v
-
-
-def _is_prime(p):
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def check_grid_text():
@@ -643,12 +641,14 @@ class TestGoldbach:
 
     @pytest.mark.parametrize(
         "cert",
-        [(17, 5, 11, 7), (39, 3, 10, 9)],  # m = 12: 17 % 11 = 6, not 7; p2 = 9 composite
-        ids=["wrong-r", "composite-p2"],
+        # m = 12: 17 % 11 = 6, not 7; p2 = 9 composite; none though 12 = 5 + 7
+        [(17, 5, 11, 7), (39, 3, 10, 9), None],
+        ids=["wrong-r", "composite-p2", "missing"],
     )
     def test_bad_certificate_is_a_mismatch(self, cert, monkeypatch):
         # the counts and certificates come from one word, so only the re-check
-        # of each certificate against the definition can see either of these
+        # of each certificate against the definition can see the first two;
+        # C5 and goldbach judge them by the same rule
         real = cli.goldbach_sweep
 
         def sweep(m_max, primes):
@@ -658,9 +658,15 @@ class TestGoldbach:
             return counts, certs
 
         monkeypatch.setattr(cli, "goldbach_sweep", sweep)
+        monkeypatch.setattr(claims, "goldbach_sweep", sweep)
         code, text = main_to_stdout(["goldbach", "--m-max", "20", "--json"])
         assert json.loads(text)["payload"]["mismatches"] == 1
         assert code == 1
+        r = claims.claim_goldbach_equivalence(20)
+        found = cert is not None
+        assert r.counterexamples == [{"m": 12, "partitions": 1, "certificate_found": found}]
+        assert r.verdict == claims.Verdict.FAILS_WITH_COUNTEREXAMPLE
+        assert r.notes.startswith("9 even moduli swept, 8 certificates found and re-validated")
 
 
 class TestEnvelope:
@@ -729,7 +735,7 @@ def check_payload_by_dicts(n, m, strong):
     a1, a2 = n % m, m - n % m
     keys = ("m", "n", "p1", "r", "p2") if strong else ("m", "n", "a1", "r", "a2")
     rows = [dict(zip(keys, (m, n, a1, r, a2))) for r in indices]
-    if strong and rows and not (_is_prime(a1) and _is_prime(a2)):
+    if strong and rows and not (naive_is_prime(a1) and naive_is_prime(a2)):
         rows = []
     return {
         "n": n,

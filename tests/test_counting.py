@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_is_ramifier, naive_set
+
 from ramify.arith import DEFAULT_BUDGET_BITS, ResourceBudgetError
 from ramify.counting import (
     _MULTI_BITS_PER_PAIR,
@@ -24,14 +26,6 @@ from ramify.counting import (
     threshold,
 )
 from ramify.ramification import character, ramifier_witnesses
-
-
-def naive_is_ramifier(n, m):
-    return any(n % r == m - n % m for r in range(2, m))
-
-
-def naive_set(m, x):
-    return [n for n in range(2, x + 1) if naive_is_ramifier(n, m)]
 
 
 def naive_multi(x):
@@ -186,7 +180,7 @@ class TestBuildSieve:
     def test_matches_naive_random(self, m, x):
         sieve = build_sieve(m, x)
         expected = naive_set(m, x)
-        assert [n for n in range(2, x + 1) if sieve.bit(n)] == expected
+        assert [n for n in range(2, x + 1) if sieve.flags[n]] == expected
         assert sieve.ramifiers() == expected
         assert sieve.count() == len(expected)
         assert sieve.flags.find(1) == (expected[0] if expected else -1)
@@ -250,10 +244,6 @@ class TestBuildSieve:
         build_sieve(7, 1000, budget_bits=8 * 1001)
         with pytest.raises(ResourceBudgetError):
             build_sieve(7, 1000, budget_bits=8 * 1001 - 1)
-
-    def test_bit_range_guard(self):
-        with pytest.raises(ValueError):
-            build_sieve(5, 20).bit(21)
 
 
 class TestProgressions:
@@ -517,7 +507,8 @@ class TestMultiModulusBudget:
 
 class TestLowBands:
     def test_ascending_and_exact(self):
-        # _least_in_bands reads the bands in order for the least (strong) n
+        # admits_ramifier and admits_strong_ramifier read the bands in order for
+        # the least (strong) n
         for m in range(2, 301):
             below_2m = naive_set(m, 2 * m - 1)
             for x in {2, m // 2, m - 1, m + m // 2, 2 * m - 1, 3 * m}:

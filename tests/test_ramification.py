@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import compress, count
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clirun import run_python
+from oracles import naive_is_prime, naive_witness_rs
 
 from ramify import ramification
 from ramify.arith import PrimeTable, divisors_in_range, prime_table
@@ -19,18 +21,12 @@ from ramify.ramification import (
     admits_ramifier,
     admits_strong_ramifier,
     character,
-    goldbach_counts,
     goldbach_partitions,
     goldbach_sweep,
     index_of,
     ramifier_witnesses,
     strong_witnesses,
 )
-
-
-def naive_witness_rs(n, m):
-    """Oracle: double loop straight off the definition."""
-    return [r for r in range(2, m) if n % r == m - n % m]
 
 
 _PRIMES_150 = prime_table(150)
@@ -43,10 +39,6 @@ def _serving_pairs(draw):
     straddling or above sqrt(n - a2), where the scan visits cofactors."""
     m = draw(st.integers(2, 10**4))
     return m, draw(st.integers(2, 10**12) | st.integers(2, m * m // 4 + 2))
-
-
-def naive_is_prime(v):
-    return v >= 2 and all(v % d for d in range(2, math.isqrt(v) + 1))
 
 
 class TestWitnesses:
@@ -160,7 +152,7 @@ class TestStrongWitnesses:
         for sw in strong:
             sw.validate()
             assert (sw.p1, sw.r, sw.p2) in ordinary
-            sw.as_witness().validate()
+            Witness(sw.m, sw.n, sw.p1, sw.r, sw.p2).validate()
 
 
 def _wide_pairs(rng, count):
@@ -321,6 +313,24 @@ class TestAdmitsRamifier:
         w = admits_ramifier(997)
         assert (w.n, w.a1, w.r, w.a2) == (665, 665, 333, 332)
 
+    @pytest.mark.parametrize("m", [10**8, 10**8 + 1])
+    def test_band_closed_form_at_scale(self, m):
+        # the first member of the first band that is not empty: n = m/2 for
+        # even m, whose k = 0 takes r = a2 + 1; else n = 2m//3 + 1, whose
+        # k = 2n - m <= 2*a2 is its own witness.  Reading it needs no row of m.
+        n = 2 * m // 3 + 1 if m % 2 else m // 2
+        a2 = m - n
+        r = 2 * n - m if m % 2 else a2 + 1
+        tracemalloc.start()
+        try:
+            w = admits_ramifier(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w == Witness(m, n, n, r, a2)
+        w.validate()
+        assert peak < 1 << 20, peak
+
     @given(st.integers(3, 600))
     def test_least_n_is_least_ramifier(self, m):
         # every m >= 3 has the ramifier 2m - 1 (r = 2), so the scan ends
@@ -423,7 +433,6 @@ class TestGoldbachSweep:
         counts, certs = goldbach_sweep(m_max, primes)
         assert counts == [len(goldbach_partitions(m, primes)) for m in ms]
         assert certs == [list_route_least(m, strong) for m in ms]
-        assert goldbach_counts(m_max, primes) == counts
 
     def test_sparse_flag_table(self):
         # flags that are not the primes: only 2, 3, 5, 7 and 13 set, so most
@@ -501,8 +510,10 @@ class TestGoldbachPartitions:
 
 
 class TestGoldbachCounts:
+    """The counts of goldbach_sweep."""
+
     def test_matches_partition_lists_to_1e4(self, primes_10k):
-        counts = goldbach_counts(10_000, primes_10k)
+        counts = goldbach_sweep(10_000, primes_10k)[0]
         assert counts == [
             len(goldbach_partitions(m, primes_10k)) for m in range(4, 10_001, 2)
         ]
@@ -510,21 +521,21 @@ class TestGoldbachCounts:
     def test_fixed_cases(self, primes_10k):
         # frozen from scripts/brute_force_fixtures.py
         frozen = {4: 1, 6: 1, 38: 2, 100: 6, 128: 3, 210: 19, 1000: 28, 9998: 99, 10000: 127}
-        counts = goldbach_counts(10_000, primes_10k)
+        counts = goldbach_sweep(10_000, primes_10k)[0]
         assert {m: counts[m // 2 - 2] for m in frozen} == frozen
 
     @pytest.mark.parametrize("m_max", [4, 5, 6, 7, 199, 201])
     def test_odd_and_smallest_m_max(self, primes_10k, m_max):
         expected = [len(goldbach_partitions(m, primes_10k)) for m in range(4, m_max + 1, 2)]
-        assert goldbach_counts(m_max, primes_10k) == expected
+        assert goldbach_sweep(m_max, primes_10k)[0] == expected
         # a table sized to m_max itself gives the same counts
-        assert goldbach_counts(m_max, prime_table(m_max)) == expected
+        assert goldbach_sweep(m_max, prime_table(m_max))[0] == expected
 
     def test_domain_guards(self, primes_200):
         with pytest.raises(ValueError):
-            goldbach_counts(3, primes_200)
+            goldbach_sweep(3, primes_200)
         with pytest.raises(ValueError):
-            goldbach_counts(201, prime_table(200))
+            goldbach_sweep(201, prime_table(200))
 
 
 class TestQuadraticResidueNonRamifiers:
@@ -548,7 +559,7 @@ class TestWitnessValidation:
 
     def test_validate_rejects_composite_residue(self):
         # 14 = 4 (mod 10) and 14 = 6 (mod 8) split 10 as 4 + 6, which are not prime
-        StrongWitness(m=10, n=14, p1=4, r=8, p2=6).as_witness().validate()
+        Witness(m=10, n=14, a1=4, r=8, a2=6).validate()
         with pytest.raises(ValueError, match="not prime"):
             StrongWitness(m=10, n=14, p1=4, r=8, p2=6).validate()
 
