@@ -54,6 +54,9 @@ GOLDEN_ARGV = {
 #: Point checks at the scale edges: a strong check far above its residues'
 #: table, n = m/2 windows of 10^5 and 10^6 witnesses, and strong checks
 #: with m at 2^28 and 2^50, the last with two even residues above 2^48.
+#: Then the edges of the smooth route: a window ending at the tier point
+#: 10240 (witness 5140), one whose smooth part 3 lies below lo = 7445, and
+#: one of 155 candidates at tier 512, over that tier's gate of 69.
 CHECKS = [
     "check 12345678901 100000000 --strong",
     "check 100000 200000",
@@ -61,6 +64,9 @@ CHECKS = [
     "check 178957007 268435456 --strong",
     "check 1013309916158361 1125899906842624 --strong",
     "check 1970324836974592 1125899906842624 --strong",
+    "check 524456414213 10241",
+    "check 212679085945 9923",
+    "check 528638994704 476",
 ]
 
 OTHERS = [

@@ -67,9 +67,18 @@ def prime_table(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, flags=bytes(flags))
 
 
-#: Scans of at most this many candidates run as they are; longer ones with hi
-#: below _SMOOTH_MAX list the divisors of the smooth part of k instead.
-_SMOOTH_MIN = 256
+#: The smooth route's cost in scan candidates.  A scan candidate costs about
+#: 75 ns.  Listing the divisors of the smooth part K costs about 5 us, 64
+#: candidates, and the gcd that finds K about 0.55 ns per bit of the tier's
+#: lcm, 1/128 of a candidate (direct calls on point-query windows, 2-vCPU
+#: Xeon, Python 3.11).  So a window with hi below _SMOOTH_MAX takes the
+#: smooth route when its scan would visit more than
+#: _SMOOTH_BASE + L.bit_length() // _SMOOTH_BITS candidates, L the lcm of
+#: its tier: 64 at tier 80, 69 at tier 512, 110 at 4096 and 248 at 2**14.
+#: Over 1,500 point-query windows of more than 32 candidates below 2**14,
+#: this gate took 7% more time than the cheaper route of each window would.
+_SMOOTH_BASE = 64
+_SMOOTH_BITS = 128
 
 #: The most candidates one call lists or scans: about 1.4 s of trial division
 #: on a 2-vCPU Xeon under Python 3.11.
@@ -95,16 +104,23 @@ def _smooth_primes() -> tuple[int, ...]:
 
 
 @cache
-def _smooth_lcm(j: int) -> int:
-    """lcm(1, ..., 2**j), j <= 14: the product of the largest power <= 2**j
-    of each prime <= 2**j, built on first use of tier j and kept."""
-    top = 1 << j
+def _smooth_lcm(t: int) -> int:
+    """lcm(1, ..., t), t <= _SMOOTH_MAX: the product of the largest power <= t
+    of each prime <= t, built on first use of tier t and kept.
+
+    The tier of a window is the least quarter-octave point above its top hi,
+    t = ((hi >> s) + 1) << s with s = hi.bit_length() - 3, so t is 5, 6, 7
+    or 8 times 2**s and exceeds hi by at most 2**s.  Only windows of more
+    than 64 candidates ask for a tier, so hi > 64 and t >= 80.  Against the
+    next power of two this shrinks the lcm, the gcd's big operand, by about
+    a fifth on average.
+    """
     L = 1
     for p in _smooth_primes():
-        if p > top:
+        if p > t:
             break
         q = p
-        while q * p <= top:
+        while q * p <= t:
             q *= p
         L *= q
     return L
@@ -150,11 +166,12 @@ def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
     ascending.  The candidate count b - a + 1 picks one of three routes:
 
     - k = 0: the whole window;
-    - more than _SMOOTH_MIN candidates with hi < _SMOOTH_MAX: no scan.
-      Every r <= hi divides lcm(1, ..., 2**j) for the tier 2**j > hi of
-      _smooth_lcm, so r divides k exactly when it divides the smooth part
-      K = gcd(k, lcm(1, ..., 2**j)), and _smooth_divisors lists K's
-      divisors up to hi from its factorisation;
+    - hi < _SMOOTH_MAX and more candidates than the smooth route costs,
+      _SMOOTH_BASE + L.bit_length() // _SMOOTH_BITS: no scan.  Every
+      r <= hi divides L = lcm(1, ..., t) for the tier t > hi of _smooth_lcm,
+      so r divides k exactly when it divides the smooth part K = gcd(k, L).
+      A K below lo has no divisor in the window, and otherwise
+      _smooth_divisors lists K's divisors up to hi from its factorisation;
     - otherwise the scan of [a, b].
 
     The k = 0 list and the scan raise ResourceBudgetError beyond _SCAN_MAX
@@ -180,10 +197,15 @@ def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
         # spelled out because a call to min() costs more than a small scan
         a, b = (lo if lo < c else c), (root if lo <= root else k // lo)
     count = b - a + 1
-    if count > _SMOOTH_MIN:
+    if count > _SMOOTH_BASE:
         if hi < _SMOOTH_MAX:
-            return _smooth_divisors(math.gcd(k, _smooth_lcm(hi.bit_length())), lo, hi)
-        _check_scan(count, lo, hi)
+            s = hi.bit_length() - 3  # at least 4: count <= hi puts hi above 64
+            L = _smooth_lcm(((hi >> s) + 1) << s)
+            if count > _SMOOTH_BASE + L.bit_length() // _SMOOTH_BITS:
+                K = math.gcd(k, L)
+                return _smooth_divisors(K, lo, hi) if K >= lo else []  # divisors of K are <= K
+        else:
+            _check_scan(count, lo, hi)
     hits = [d for d in range(a, b + 1) if k % d == 0]
     if hi <= root or not hits:
         return hits
@@ -192,11 +214,11 @@ def divisors_in_range(k: int, lo: int, hi: int) -> list[int]:
 
 def is_prime(p: int) -> bool:
     """Whether p is prime: p >= 2 with no divisor in [2, isqrt(p)].  That window
-    takes the smooth route for p in [258**2, 2**28) and a scan elsewhere.  From
-    2**28, where the scan starts to reach _SMOOTH_MAX, one gcd with
-    lcm(1, ..., 2**14) first rules out every p with a prime factor below
-    2**14; the scan of the rest raises ResourceBudgetError from about 2**48,
-    past _SCAN_MAX candidates."""
-    if p >= _SMOOTH_MAX * _SMOOTH_MAX and math.gcd(p, _smooth_lcm(14)) > 1:
+    takes the smooth route for p in [66**2, 2**28), where a prime p leaves the
+    smooth part 1, and a scan elsewhere.  From 2**28, where the scan starts to
+    reach _SMOOTH_MAX, one gcd with lcm(1, ..., 2**14) first rules out every p
+    with a prime factor below 2**14; the scan of the rest raises
+    ResourceBudgetError from about 2**48, past _SCAN_MAX candidates."""
+    if p >= _SMOOTH_MAX * _SMOOTH_MAX and math.gcd(p, _smooth_lcm(_SMOOTH_MAX)) > 1:
         return False
     return p >= 2 and (p < 4 or not divisors_in_range(p, 2, math.isqrt(p)))

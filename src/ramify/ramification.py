@@ -109,7 +109,8 @@ def ramifier_witnesses(n: int, m: int) -> list[Witness]:
     """All witnesses that n ramifies in modulus m, ascending by inner modulus."""
     rs = _witness_moduli(n, m)
     a1 = n % m
-    return [Witness(m=m, n=n, a1=a1, r=r, a2=m - a1) for r in rs]
+    a2 = m - a1
+    return [Witness(m, n, a1, r, a2) for r in rs]
 
 
 def character(n: int, m: int) -> int:
@@ -126,7 +127,7 @@ def index_of(n: int, m: int) -> IndexRecord | None:
     rs = _witness_moduli(n, m)
     if not rs:
         return None
-    return IndexRecord(m=m, n=n, index=rs[0], all_indices=rs)
+    return IndexRecord(m, n, rs[0], rs)
 
 
 def strong_witnesses(n: int, m: int, primes: PrimeTable) -> list[StrongWitness]:
@@ -140,9 +141,10 @@ def strong_witnesses(n: int, m: int, primes: PrimeTable) -> list[StrongWitness]:
     _check_domain(n, m)
     a1 = n % m
     a2 = m - a1
-    if not (primes.is_prime(a1) and primes.is_prime(a2)):
+    # the limit check puts a1 and a2, both at most m, inside the table
+    if not (primes.flags[a1] and primes.flags[a2]):
         return []
-    return [StrongWitness(m=m, n=n, p1=a1, r=r, p2=a2) for r in _witness_moduli(n, m)]
+    return [StrongWitness(m, n, a1, r, a2) for r in _witness_moduli(n, m)]
 
 
 def _least_inner(k: int, a2: int, m: int) -> int:

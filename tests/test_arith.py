@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_is_prime
+from oracles import TIERS, crossover, naive_is_prime, smooth_tier, window_candidates
 
 from ramify import arith
 from ramify.arith import (
+    _SMOOTH_BASE,
     _SMOOTH_MAX,
-    _SMOOTH_MIN,
     _smooth_lcm,
     DEFAULT_BUDGET_BITS,
     ResourceBudgetError,
@@ -20,6 +20,10 @@ from ramify.arith import (
     is_prime,
     prime_table,
 )
+
+
+#: The gate of every tier, one over 64 candidates
+_CROSSOVERS = sorted({crossover(t - 1) for t in TIERS})
 
 # flag strings of length 0-200, any length mod 8, all zeros and all ones among them
 _flags = st.binary(max_size=200).map(lambda b: bytes(c & 1 for c in b)) | st.builds(
@@ -93,12 +97,14 @@ class TestDivisorsInRange:
     _gate_k = st.integers(0, 10**12) | st.builds(
         operator.mul, st.integers(0, 10**12 // 30), st.sampled_from([2, 3, 5, 30])
     )
-    # window widths hi - lo on both sides of the 256-candidate gate
-    _width = st.integers(0, 10**4) | st.integers(_SMOOTH_MIN - 2, _SMOOTH_MIN + 2)
+    # window widths hi - lo on both sides of each tier's gate, 64 to 248 candidates
+    _width = st.integers(0, 10**4) | st.sampled_from(_CROSSOVERS).flatmap(
+        lambda e: st.integers(e - 2, e + 2)
+    )
 
-    @given(_gate_k, st.integers(2, 10**6), _width)
+    @given(_gate_k, st.integers(2, 10**6) | st.integers(2, _SMOOTH_MAX), _width)
     @example(10**12, 2, 10**4)  # a multiple of 30
-    @example(7 * 11 * 13 * 10**6 + 1, 9_000, _SMOOTH_MIN + 1)
+    @example(7 * 11 * 13 * 10**6 + 1, 9_000, 179)  # tier 10240's gate, 179, plus one
     @example(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 300, 9_000)
     @settings(max_examples=300, deadline=None)
     def test_window_scan_across_the_gate(self, k, lo, width):
@@ -107,7 +113,7 @@ class TestDivisorsInRange:
         assert divisors_in_range(k, lo, hi) == expected
 
     @given(
-        st.integers((_SMOOTH_MIN + 2) ** 2, 2_000**2),
+        st.integers((_SMOOTH_BASE + 2) ** 2, 2_000**2),
         st.sampled_from([1, 2, 3, 5, 30]),
         st.integers(2, 10**4),
         st.integers(1, 10**4),
@@ -118,8 +124,8 @@ class TestDivisorsInRange:
     @settings(max_examples=200, deadline=None)
     def test_divisor_pairs_across_the_gate(self, base, mult, lo, extra):
         # a window wider than 2*sqrt(k) reaches above sqrt(k), so the scan also
-        # visits the d <= sqrt(k) whose cofactors lie in it, and sqrt(k) above
-        # the gate lets those be more than 256 candidates
+        # visits the d <= sqrt(k) whose cofactors lie in it, and sqrt(k) from
+        # 66 to 2,000 puts those on both sides of every tier's gate
         k = base * mult
         hi = lo + 2 * math.isqrt(k) + extra
         expected = [r for r in range(lo, hi + 1) if k % r == 0]
@@ -207,20 +213,23 @@ def _next_prime_above(v):
 
 
 class TestSmoothPart:
-    """Windows with hi < 2**14 scan gcd(k, lcm(1..2**j)); these tests hold
-    that route against the naive filter, which shares nothing with it."""
+    """Wide windows with hi < 2**14 list the divisors of gcd(k, lcm(1..t)),
+    t the least quarter-octave point above hi; these tests hold that route
+    against the naive filter, which shares nothing with it."""
 
     def test_smooth_lcm_is_lcm(self):
-        for j in range(15):
-            assert _smooth_lcm(j) == math.lcm(*range(1, 2**j + 1)), j
-        assert _SMOOTH_MAX == 2**14
+        for t in TIERS:
+            assert _smooth_lcm(t) == math.lcm(*range(1, t + 1)), t
+        assert _SMOOTH_MAX == TIERS[-1] == 2**14
 
-    # the least prime above each tier boundary 2**j: it divides no lcm(1..2**j)
-    _just_above = [_next_prime_above(2**j) for j in range(9, 15)]
-    # hi on both sides of each tier boundary 2**j, and of _SMOOTH_MAX
-    _hi = st.builds(
-        operator.add, st.integers(9, 14).map(lambda j: 2**j), st.sampled_from([-1, 0, 1])
-    ) | st.sampled_from(_just_above)
+    # the tier points from 512, where windows start to be wide
+    _tiers = [t for t in TIERS if t >= 512]
+    # the least prime above each of them: it divides no lcm(1..t)
+    _just_above = [_next_prime_above(t) for t in _tiers]
+    # hi on both sides of each tier point, the last of them _SMOOTH_MAX
+    _hi = st.builds(operator.add, st.sampled_from(_tiers), st.sampled_from([-1, 0, 1])) | (
+        st.sampled_from(_just_above)
+    )
     # smooth k, k times a prime above every window, k dividing lcm(1..2**14),
     # a multiple of a prime just above 2**j, which a window reaching it must find, and 0
     _k = st.one_of(
@@ -243,10 +252,13 @@ class TestSmoothPart:
     @given(_k, _hi, st.data())
     @settings(max_examples=400, deadline=None)
     def test_matches_naive_loop(self, k, hi, data):
-        # K, the part of k the scan sees: gcd(k, lcm(1..2**j)) with 2**j > hi
-        smooth = math.gcd(k, _smooth_lcm(hi.bit_length())) if hi < _SMOOTH_MAX else k
-        # widths hi - lo on both sides of the 256-candidate gate and of 2*sqrt(K)
-        edges = st.sampled_from([_SMOOTH_MIN, 2 * math.isqrt(smooth)])
+        # K, the part of k the smooth route sees: gcd(k, lcm(1..t)) with t > hi
+        if hi < _SMOOTH_MAX:
+            gate, smooth = crossover(hi), math.gcd(k, _smooth_lcm(smooth_tier(hi)))
+        else:
+            gate, smooth = _CROSSOVERS[-1], k
+        # widths hi - lo on both sides of the tier's gate and of 2*sqrt(K)
+        edges = st.sampled_from([gate, 2 * math.isqrt(smooth)])
         width = data.draw(edges.flatmap(lambda e: st.integers(e - 2, e + 2)) | st.integers(0, hi))
         lo = hi - min(max(width, 0), hi - 2)
         assert divisors_in_range(k, lo, hi) == [r for r in range(lo, hi + 1) if k % r == 0]
@@ -264,7 +276,7 @@ class TestSmoothPart:
         assert divisors_in_range(k, lo, hi) == [r for r in range(lo, hi + 1) if k % r == 0]
 
     # a prime above every window: k = K * _FAR keeps the smooth part K and puts
-    # sqrt(k) above the 256-candidate gate, so every wide window takes the smooth route
+    # sqrt(k) above every window, so every wide window takes the smooth route
     _FAR = 999_999_999_989
 
     @pytest.mark.parametrize(
@@ -285,9 +297,9 @@ class TestSmoothPart:
         ],
     )
     def test_factorisation_edges(self, k):
-        # hi on both sides of every tier boundary 2**j from 2**9 to _SMOOTH_MAX
-        for j in range(9, 15):
-            for hi in (2**j - 1, 2**j, 2**j + 1):
+        # hi on both sides of every tier point from 512 to _SMOOTH_MAX
+        for t in self._tiers:
+            for hi in (t - 1, t, t + 1):
                 for lo in (2, hi // 3):
                     expected = [r for r in range(lo, hi + 1) if k % r == 0]
                     assert divisors_in_range(k, lo, hi) == expected, (k, lo, hi)
@@ -322,8 +334,8 @@ class TestSmoothPart:
     def test_point_query_replay(self):
         # 2,000 windows drawn as the point-query benchmark draws them, n
         # log-uniform to 10**12 and m to 10**4, kept when their scan would
-        # visit more than _SMOOTH_MIN candidates below _SMOOTH_MAX: the d in
-        # [min(lo, ceil(k/hi)), min(hi, k // lo, sqrt(k))]
+        # visit more candidates than their tier's gate below _SMOOTH_MAX: the d
+        # in [min(lo, ceil(k/hi)), min(hi, k // lo, sqrt(k))]
         rng = random.Random(2024)
 
         def log_uniform(top):
@@ -335,19 +347,104 @@ class TestSmoothPart:
             a1 = n % m
             a2 = m - a1
             k, lo, hi = abs(n - a2), a2 + 1, m - 1
-            root = math.isqrt(k)
             if a1 <= 1 or k == 0 or hi >= _SMOOTH_MAX:
                 continue
-            if min(hi, k // lo, root) - min(lo, -(-k // hi)) + 1 <= _SMOOTH_MIN:
+            if window_candidates(k, lo, hi) <= crossover(hi):
                 continue
             kept += 1
             expected = [r for r in range(lo, hi + 1) if k % r == 0]
             assert divisors_in_range(k, lo, hi) == expected, (n, m)
 
 
+class TestRoutes:
+    """The edges of the smooth route: each tier point, each tier's gate and
+    the smooth part K next to lo.  Each case is held against the naive
+    filter, and the route it takes is read off the calls it makes."""
+
+    # a prime above every window: k = K * _FAR keeps the smooth part K and
+    # puts sqrt(k) above every window, so a window's count is its width
+    _FAR = 999_999_999_989
+
+    @staticmethod
+    def _record(monkeypatch, name):
+        calls = []
+        inner = getattr(arith, name)
+
+        def recorded(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(arith, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("t", TIERS)
+    def test_tier_points(self, monkeypatch, t):
+        # hi = t - 1 takes tier t, and hi = t the next one up; from 2**14 no
+        # tier is asked for.  k is divided by every r in the window, which a
+        # tier at or below a prime power in it would miss
+        tiers = self._record(monkeypatch, "_smooth_lcm")
+        for hi in (t - 1, t, t + 1):
+            lo = max(2, hi - _CROSSOVERS[-1])
+            k = math.lcm(*range(lo, hi + 1)) * self._FAR
+            assert divisors_in_range(k, lo, hi) == list(range(lo, hi + 1)), hi
+            wide = hi - lo + 1 > _SMOOTH_BASE and hi < _SMOOTH_MAX
+            assert tiers == ([(smooth_tier(hi),)] if wide else []), hi
+            tiers.clear()
+
+    @pytest.mark.parametrize("t", TIERS)
+    def test_gate(self, monkeypatch, t):
+        # a window of its tier's gate in candidates, or fewer, is scanned; one
+        # more lists the divisors of its smooth part
+        listed = self._record(monkeypatch, "_smooth_divisors")
+        for hi in (t - 1, t, t + 1):
+            if hi >= _SMOOTH_MAX:
+                continue
+            gate = crossover(hi)
+            for count in (gate - 1, gate, gate + 1):
+                lo = hi - count + 1
+                k = math.lcm(*range(lo, lo + 8)) * self._FAR
+                expected = [r for r in range(lo, hi + 1) if k % r == 0]
+                assert divisors_in_range(k, lo, hi) == expected, (hi, count)
+                assert len(listed) == (count > gate), (hi, count)
+                listed.clear()
+
+    @pytest.mark.parametrize("t", TIERS)
+    def test_smooth_part_next_to_lo(self, t):
+        # K = lo - 1 has no divisor in the window; K = lo and K = lo + 1 are
+        # their own one witness
+        for hi in (t - 1, t, t + 1):
+            if hi >= _SMOOTH_MAX:
+                continue
+            lo = hi - crossover(hi)  # one candidate over the gate
+            for K in (lo - 1, lo, lo + 1):
+                k = K * self._FAR
+                expected = [r for r in range(lo, hi + 1) if k % r == 0]
+                assert expected == [K] * (K >= lo)
+                assert divisors_in_range(k, lo, hi) == expected, (hi, K)
+
+    def test_random_windows_in_every_tier(self):
+        # per tier, windows ending in it, k up to 10**18, log-uniform, smooth,
+        # a smooth part times a far prime, and 0
+        rng = random.Random(27)
+        smooth = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 127, 131, 8_191, 16_381]
+        for below, t in zip([2] + TIERS, TIERS + [2**14 + 64]):
+            for _ in range(40):
+                hi = rng.randrange(below, t)
+                lo = rng.choice([rng.randint(2, hi), max(2, hi - rng.randint(0, 300))])
+                k = rng.choice([
+                    0,
+                    rng.randint(1, 10**18),
+                    int(math.exp(rng.uniform(0, math.log(10**18)))),
+                    math.prod(rng.choices(smooth, k=rng.randint(1, 8))),
+                    math.prod(rng.choices(smooth, k=rng.randint(1, 4))) * self._FAR,
+                ])
+                expected = [r for r in range(lo, hi + 1) if k == 0 or k % r == 0]
+                assert divisors_in_range(k, lo, hi) == expected, (k, lo, hi)
+
+
 class TestIsPrime:
     def test_matches_prime_table(self):
-        # the scan below 258**2 = 66,564 and the smooth route above it
+        # the scan below 66**2 = 4,356 and the smooth route above it
         limit = 2**20
         assert bytes(map(is_prime, range(limit + 1))) == prime_table(limit).flags
 

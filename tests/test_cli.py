@@ -11,7 +11,14 @@ from pathlib import Path
 import pytest
 
 from clirun import popen_cli, run_cli, run_python
-from oracles import naive_is_prime, naive_witness_rs
+from oracles import (
+    crossover,
+    naive_is_prime,
+    naive_witness_rs,
+    smooth_tier,
+    tier_lcm,
+    window_candidates,
+)
 
 from ramify import __version__, claims, cli
 from ramify.arith import DEFAULT_BUDGET_BITS, prime_table
@@ -158,7 +165,7 @@ class TestCheck:
         ],
     )
     def test_strong_json_above_the_smooth_tier(self, n, m):
-        # windows reaching 2**14 with more than 256 candidates take the scan
+        # windows reaching 2**14 take the scan, however many candidates they have
         proc = run_cli("check", str(n), str(m), "--strong", "--json")
         payload = payload_of(proc)
         expected = naive_witness_rs(n, m)
@@ -203,8 +210,8 @@ def check_grid_pairs():
     """About 200 (n, m) pairs for the `ramify check --strong` golden grid.
 
     Random pairs, n log-uniform to 10**12 and m to 10**4; then windows
-    built on purpose: the widest window (n = -1 mod m) on both sides of
-    256 candidates and with k = n - 1 small enough that the window reaches
+    built on purpose: the widest window (n = -1 mod m) of 5 to 9,998
+    candidates and with k = n - 1 small enough that the window reaches
     above sqrt(k), n = m/2 (every r in the window divides k = 0), and strong
     ramifiers of even moduli.
     """
@@ -256,32 +263,47 @@ def check_grid_text():
     return json.dumps(entries, indent=1) + "\n"
 
 
+def _grid_windows():
+    """(k, lo, hi, candidates, gate) per grid pair whose window (m - a1, m) ends
+    below 2**14 and can hold a divisor of k > 0: the candidates a scan would
+    visit, and the most its tier's gate lets a scan visit."""
+    out = []
+    for n, m in check_grid_pairs():
+        a1 = n % m
+        a2 = m - a1
+        k, lo, hi = abs(n - a2), a2 + 1, m - 1
+        if a1 <= 1 or k < lo or hi >= 2**14:
+            continue
+        out.append((k, lo, hi, window_candidates(k, lo, hi), crossover(hi)))
+    return out
+
+
 class TestCheckGrid:
     def test_grid_covers_both_sides_of_the_gate(self):
         pairs = check_grid_pairs()
         assert 190 <= len(pairs) <= 230
-        widths = [n % m - 2 for n, m in pairs]  # hi - lo of the window (m - a1, m)
-        assert any(w > 256 for w in widths) and any(0 <= w <= 256 for w in widths)
+        windows = _grid_windows()
+        assert any(count > gate for *_, count, gate in windows)
+        assert any(0 < count <= gate for *_, count, gate in windows)
         assert {m % 2 for _, m in pairs} == {0, 1}
 
     def test_grid_takes_the_smooth_route(self):
-        # a window of more than 256 candidates ending below 2**14 lists the
-        # divisors of K = gcd(k, lcm(1..2**j)), 2**j > hi, from K's factorisation
-        lcms = {j: math.lcm(*range(1, 2**j + 1)) for j in range(1, 15)}
-        routed = []
-        for n, m in check_grid_pairs():
-            a1 = n % m
-            a2 = m - a1
-            k, lo, hi = abs(n - a2), a2 + 1, m - 1
-            if a1 <= 1 or k == 0:
-                continue
-            # the scan would visit the d in [min(lo, ceil(k/hi)), min(hi, k // lo, sqrt(k))]
-            count = min(hi, k // lo, math.isqrt(k)) - min(lo, -(-k // hi)) + 1
-            if hi < 2**14 and count > 256:
-                routed.append((k, math.gcd(k, lcms[hi.bit_length()])))
-        assert any(K == k for k, K in routed)  # k is its own smooth part
+        # a window ending below 2**14 with more candidates than its tier's gate
+        # lists the divisors of K = gcd(k, lcm(1..t)), t > hi, from K's
+        # factorisation, or none when K < lo
+        routed = [
+            (k, lo, math.gcd(k, tier_lcm(smooth_tier(hi))), count)
+            for k, lo, hi, count, gate in _grid_windows()
+            if count > gate
+        ]
+        assert any(K == k for k, _, K, _ in routed)  # k is its own smooth part
         # the trial division leaves K's largest prime factor, above 128, as its cofactor
-        assert any(_largest_prime(K) > 128 and K % _largest_prime(K) ** 2 for _, K in routed)
+        assert any(
+            K >= lo and _largest_prime(K) > 128 and K % _largest_prime(K) ** 2
+            for _, lo, K, _ in routed
+        )
+        assert any(K < lo for _, lo, K, _ in routed)  # no divisor to list
+        assert any(count <= 256 and K >= lo for _, lo, K, count in routed)  # under 256 candidates
 
     def test_reproduces_the_golden_grid(self):
         golden = json.loads((GOLDEN / "check_grid.json").read_text())
